@@ -26,7 +26,7 @@ int main()
         prec.generate(ell.entry(sys), ws.slot(bicgstab_work_vectors));
         const auto result = bicgstab_kernel(
             ell.entry(sys), problem.rhs().entry(sys), x.entry(0), prec,
-            AbsResidualStop{1e-10}, 500, ws, 0,
+            StopCriterion{StopType::abs_residual, 1e-10}, 500, ws, 0,
             &histories[static_cast<std::size_t>(sys)]);
         std::cout << (sys == 0 ? "ion" : "electron") << ": "
                   << result.iterations << " iterations, final residual "

@@ -185,7 +185,8 @@ void BM_BicgstabElectronSolve(benchmark::State& state)
         prec.generate(f.ell.entry(1), ws.slot(bicgstab_work_vectors));
         const auto result =
             bicgstab_kernel(f.ell.entry(1), b, x, prec,
-                            AbsResidualStop{1e-10}, 500, ws);
+                            StopCriterion{StopType::abs_residual, 1e-10},
+                            500, ws);
         benchmark::DoNotOptimize(result.iterations);
     }
 }

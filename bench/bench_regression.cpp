@@ -2,7 +2,8 @@
 //
 // Times the canonical workload of the paper -- BiCGStab+Jacobi over a
 // batch of 992-row / 9-nnz-per-row collision systems -- on the host (wall
-// time, fused vs unfused kernels, CSR and ELL) and on the modeled devices
+// time: scalar fused, lockstep8 and pipelined kernels over CSR, ELL and
+// SELL-P) and on the modeled devices
 // (kernel seconds at warp 32 and warp 64), and writes the medians to
 // BENCH_solvers.json so successive commits can be compared.
 //
@@ -81,13 +82,12 @@ struct HostRun {
 /// vector lives in the closure so repeated runs reuse the same storage.
 template <typename BatchMatrix>
 HostRun make_host_run(const char* format, const BatchMatrix& a,
-                      const BatchVector<real_type>& b, bool fused,
-                      int lockstep_width, bool pipelined)
+                      const BatchVector<real_type>& b, int lockstep_width,
+                      bool pipelined)
 {
     SolverSettings settings;
     settings.solver = SolverType::bicgstab;
     settings.precond = PrecondType::jacobi;
-    settings.fused_kernels = fused;
     settings.lockstep_width = lockstep_width;
     settings.pipelined = pipelined;
     HostRun r;
@@ -100,7 +100,7 @@ HostRun make_host_run(const char* format, const BatchMatrix& a,
     } else {
         r.c.variant = lockstep_width > 0
                           ? "lockstep" + std::to_string(lockstep_width)
-                          : (fused ? "fused" : "unfused");
+                          : "fused";
     }
     auto x = std::make_shared<BatchVector<real_type>>(a.num_batch(),
                                                       a.rows());
@@ -109,14 +109,13 @@ HostRun make_host_run(const char* format, const BatchMatrix& a,
 }
 
 template <typename BatchMatrix>
-HostCase time_host(const char* format, bool fused, const BatchMatrix& a,
+HostCase time_host(const char* format, const BatchMatrix& a,
                    const BatchVector<real_type>& b, int reps,
                    int lockstep_width = 0)
 {
     SolverSettings settings;
     settings.solver = SolverType::bicgstab;
     settings.precond = PrecondType::jacobi;
-    settings.fused_kernels = fused;
     settings.lockstep_width = lockstep_width;
     BatchVector<real_type> x(a.num_batch(), a.rows());
     std::vector<double> walls;
@@ -132,7 +131,7 @@ HostCase time_host(const char* format, bool fused, const BatchMatrix& a,
     c.format = format;
     c.variant = lockstep_width > 0
                     ? "lockstep" + std::to_string(lockstep_width)
-                    : (fused ? "fused" : "unfused");
+                    : "fused";
     c.median_wall_seconds = median(std::move(walls));
     c.mean_iterations = mean_iterations(last.log);
     c.all_converged = last.log.all_converged();
@@ -194,7 +193,6 @@ bool pipelined_matches_classic(const BatchMatrix& a,
     SolverSettings settings;
     settings.solver = SolverType::bicgstab;
     settings.precond = PrecondType::jacobi;
-    settings.fused_kernels = true;
     settings.lockstep_width = width;
     BatchVector<real_type> x_classic(a.num_batch(), a.rows());
     BatchVector<real_type> x_pipe(a.num_batch(), a.rows());
@@ -395,25 +393,22 @@ int main(int argc, char** argv)
     // sweep -- so machine drift (frequency scaling, background load) hits
     // all variants alike instead of inflating whichever case's block it
     // lands in. An earlier committed baseline showed csr/fused slower than
-    // csr/unfused for exactly that reason: each case's repetitions ran
-    // back-to-back, so case ordering coupled with drift.
+    // a since-removed csr/unfused row for exactly that reason: each case's
+    // repetitions ran back-to-back, so case ordering coupled with drift.
     std::vector<HostRun> runs;
-    runs.push_back(make_host_run("csr", csr, b, true, 0, false));
-    runs.push_back(make_host_run("csr", csr, b, false, 0, false));
-    runs.push_back(make_host_run("ell", ell, b, true, 0, false));
-    runs.push_back(make_host_run("ell", ell, b, false, 0, false));
-    runs.push_back(make_host_run("sellp", sellp, b, true, 0, false));
-    // SIMD batch-lockstep rows: W systems per thread over interleaved
-    // layouts, against the scalar fused rows above.
-    runs.push_back(make_host_run("csr", csr, b, true, 4, false));
-    runs.push_back(make_host_run("csr", csr, b, true, 8, false));
-    runs.push_back(make_host_run("ell", ell, b, true, 8, false));
-    runs.push_back(make_host_run("sellp", sellp, b, true, 8, false));
+    runs.push_back(make_host_run("csr", csr, b, 0, false));
+    runs.push_back(make_host_run("ell", ell, b, 0, false));
+    runs.push_back(make_host_run("sellp", sellp, b, 0, false));
+    // SIMD batch-lockstep rows: lockstep_lanes systems per thread over
+    // interleaved layouts, against the scalar fused rows above.
+    runs.push_back(make_host_run("csr", csr, b, lockstep_lanes, false));
+    runs.push_back(make_host_run("ell", ell, b, lockstep_lanes, false));
+    runs.push_back(make_host_run("sellp", sellp, b, lockstep_lanes, false));
     // Pipelined rows: one reduction point per iteration, scalar and
     // lockstep, against the classic fused rows above.
-    runs.push_back(make_host_run("csr", csr, b, true, 0, true));
-    runs.push_back(make_host_run("csr", csr, b, true, 8, true));
-    runs.push_back(make_host_run("ell", ell, b, true, 8, true));
+    runs.push_back(make_host_run("csr", csr, b, 0, true));
+    runs.push_back(make_host_run("csr", csr, b, lockstep_lanes, true));
+    runs.push_back(make_host_run("ell", ell, b, lockstep_lanes, true));
 
     // One untimed warm-up solve per case so workspace-pool allocation and
     // cache warming do not land in the first sample.
@@ -509,7 +504,7 @@ int main(int argc, char** argv)
         obs::set_metrics_enabled(true);
         obs::set_trace_enabled(true);
         telemetry.enabled_median_wall_seconds =
-            time_host("csr", true, csr, b, reps).median_wall_seconds;
+            time_host("csr", csr, b, reps).median_wall_seconds;
         obs::set_metrics_enabled(false);
         obs::set_trace_enabled(false);
         // The telemetry-live repetitions just recorded the full
@@ -555,7 +550,6 @@ int main(int argc, char** argv)
         SolverSettings settings;
         settings.solver = SolverType::bicgstab;
         settings.precond = PrecondType::jacobi;
-        settings.fused_kernels = true;
         BatchVector<real_type> x(csr.num_batch(), csr.rows());
         solve_batch(csr, b, x, settings);  // untimed warm-up
         // Paired statistics: each rep times the two cases back-to-back
@@ -604,7 +598,7 @@ int main(int argc, char** argv)
         obs::metrics().reset_values();
     }
 
-    std::cout << "\n=== host wall time (fused vs unfused kernels)\n\n";
+    std::cout << "\n=== host wall time (scalar, lockstep, pipelined)\n\n";
     table.print(std::cout);
     std::cout << "\n=== modeled kernel time (warp 32 / warp 64)\n\n";
     modeled.print(std::cout);
@@ -675,8 +669,8 @@ int main(int argc, char** argv)
     }
     // Lockstep results must match the scalar path per entry (identical
     // converged flags, iterations within one, residuals to rounding).
-    if (!lockstep_matches_scalar(csr, b, 8) ||
-        !lockstep_matches_scalar(ell, b, 4)) {
+    if (!lockstep_matches_scalar(csr, b, lockstep_lanes) ||
+        !lockstep_matches_scalar(ell, b, lockstep_lanes)) {
         std::cerr << "regression bench: lockstep/scalar mismatch\n";
         return 1;
     }
@@ -716,21 +710,19 @@ int main(int argc, char** argv)
         return 0.0;
     };
     const double scalar_fused = find_case("csr", "fused");
-    const double lockstep_best = std::min(find_case("csr", "lockstep4"),
-                                          find_case("csr", "lockstep8"));
-    std::cout << "\nlockstep best (csr, W>=4) " << lockstep_best
-              << " s vs scalar fused " << scalar_fused << " s  ("
-              << (scalar_fused > 0 ? scalar_fused / lockstep_best : 0.0)
+    const double classic_l8 = find_case("csr", "lockstep8");
+    std::cout << "\nlockstep8 (csr) " << classic_l8 << " s vs scalar fused "
+              << scalar_fused << " s  ("
+              << (classic_l8 > 0 ? scalar_fused / classic_l8 : 0.0)
               << "x)\n";
-    if (!smoke && !(lockstep_best < scalar_fused)) {
-        std::cerr << "regression bench: lockstep (W>=4) is not faster than "
-                     "the scalar fused path\n";
+    if (!smoke && !(classic_l8 < scalar_fused)) {
+        std::cerr << "regression bench: lockstep8 is not faster than the "
+                     "scalar fused path\n";
         return 1;
     }
     // The point of pipelining on the host is fewer, fatter sweeps: the
     // pipelined lockstep8 row must beat classic lockstep8 on the full-size
     // workload (smoke batches are too small/noisy to gate).
-    const double classic_l8 = find_case("csr", "lockstep8");
     const double pipelined_l8 = find_case("csr", "pipelined-lockstep8");
     std::cout << "pipelined lockstep8 (csr) " << pipelined_l8
               << " s vs classic lockstep8 " << classic_l8 << " s  ("

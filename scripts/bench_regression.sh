@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Perf-regression run: builds, then times the canonical 992-row collision
-# batch (BiCGStab+Jacobi, CSR and ELL, fused/unfused/pipelined host
+# batch (BiCGStab+Jacobi, CSR/ELL/SELL-P, scalar/lockstep8/pipelined host
 # kernels, modeled warp-32/warp-64 devices) and writes BENCH_solvers.json
 # at the repo root for commit-over-commit comparison.
 #

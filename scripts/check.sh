@@ -72,8 +72,8 @@ fi
 echo "== pipelined test tier =="
 ctest --test-dir "$BUILD_DIR" -L pipelined --output-on-failure
 
-# The perf smoke run also covers the SIMD batch-lockstep rows
-# (lockstep4/lockstep8) and cross-checks them against the scalar path
+# The perf smoke run also covers the SIMD batch-lockstep rows (lockstep8,
+# the one compiled width) and cross-checks them against the scalar path
 # per entry; the full-size lockstep-vs-scalar speedup gate only runs in
 # the non-smoke bench_regression.
 echo "== perf regression tier (smoke) =="

@@ -2,22 +2,22 @@
 //
 // One invocation solves ONE system of the batch -- the exact work a single
 // GPU thread block performs inside the fused solver kernel. The matrix
-// format, preconditioner, and stopping criterion are template parameters,
-// mirroring the compile-time composition of the paper's Listing 1, so the
-// whole solve inlines into one optimized function.
+// format and preconditioner are template parameters, mirroring the
+// compile-time composition of the paper's Listing 1, so the whole solve
+// inlines into one optimized function; the stopping criterion is a runtime
+// value (see core/stop.hpp).
 //
-// Two variants are provided. `bicgstab_kernel` (the default path) sweeps
-// the vectors with the fused single-pass BLAS kernels, matching the sweep
-// structure of the paper's fused GPU kernel: 4 update sweeps and 3
-// reduction sweeps per iteration instead of the ~13 sweeps of the naive
-// BLAS composition. `bicgstab_kernel_unfused` keeps the one-sweep-per-call
-// composition as the reference for the fusion A/B tests and benches.
+// The kernel sweeps the vectors with the fused single-pass BLAS kernels,
+// matching the sweep structure of the paper's fused GPU kernel: 4 update
+// sweeps and 3 reduction sweeps per iteration instead of the ~13 sweeps of
+// the naive BLAS composition (priced by `work_profile(..., fused=false)`).
 #pragma once
 
 #include <cmath>
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -37,10 +37,14 @@ inline constexpr int bicgstab_work_vectors = 8;
 /// `history`, when non-null, receives the residual norm at the top of
 /// every iteration (the per-system logging of the paper's Listing 1
 /// LogType) -- see the convergence-history benchmark.
-template <typename MatrixView, typename Prec, typename Stop>
+/// Kept out of line: GCC inlines it into solve_batch's OpenMP loop body
+/// once few enough kernels share that translation unit, and the inlined
+/// copy measured about 5% slower on the scalar path.
+template <typename MatrixView, typename Prec>
+[[gnu::noinline]]
 EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                             VecView<real_type> x, const Prec& prec,
-                            const Stop& stop, int max_iters, Workspace& ws,
+                            StopCriterion stop, int max_iters, Workspace& ws,
                             int work_offset = 0,
                             std::vector<real_type>* history = nullptr)
 {
@@ -156,138 +160,6 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return blas::zaxpby_nrm2(real_type{1},
                                      ConstVecView<real_type>(s), -omega,
                                      ConstVecView<real_type>(t), r);
-        });
-        rho_old = rho;
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
-    }
-}
-
-/// Reference BiCGStab on the unfused one-sweep-per-BLAS-call composition.
-/// Mathematically identical to `bicgstab_kernel` (same operations in the
-/// same order; fused sweeps only change rounding within a pass) but sweeps
-/// the vectors ~13 times per iteration. Kept for the fusion ablation
-/// benches and the fused-vs-unfused convergence tests.
-template <typename MatrixView, typename Prec, typename Stop>
-EntryResult bicgstab_kernel_unfused(
-    const MatrixView& a, ConstVecView<real_type> b, VecView<real_type> x,
-    const Prec& prec, const Stop& stop, int max_iters, Workspace& ws,
-    int work_offset = 0, std::vector<real_type>* history = nullptr)
-{
-    auto r = ws.slot(work_offset + 0);
-    auto r_hat = ws.slot(work_offset + 1);
-    auto p = ws.slot(work_offset + 2);
-    auto p_hat = ws.slot(work_offset + 3);
-    auto v = ws.slot(work_offset + 4);
-    auto s = ws.slot(work_offset + 5);
-    auto s_hat = ws.slot(work_offset + 6);
-    auto t = ws.slot(work_offset + 7);
-
-    const real_type b_norm = blas::nrm2(b);
-
-    // r = b - A x; with a zero guess this reduces to r = b.
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    blas::copy(ConstVecView<real_type>(r), r_hat);
-    blas::fill(p, real_type{0});
-    blas::fill(v, real_type{0});
-
-    real_type rho_old = 1;
-    real_type omega = 1;
-    real_type alpha = 1;
-    real_type r_norm = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
-    const real_type r0 = r_norm;
-
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            return {iter, r_norm, false, FailureClass::non_finite};
-        }
-        const real_type rho =
-            blas::dot(ConstVecView<real_type>(r), ConstVecView<real_type>(r_hat));
-        if (rho == real_type{0} || omega == real_type{0}) {
-            // Serious breakdown: the Krylov space cannot be extended.
-            return {iter, r_norm, false,
-                    rho == real_type{0} ? FailureClass::breakdown_rho
-                                        : FailureClass::breakdown_omega};
-        }
-        const real_type beta = (rho / rho_old) * (alpha / omega);
-        // p = r + beta * (p - omega * v)
-        obs::traced(obs::Phase::update, "update", [&] {
-            blas::axpy(-omega, ConstVecView<real_type>(v), p);
-            blas::axpby(real_type{1}, ConstVecView<real_type>(r), beta, p);
-        });
-        obs::traced(obs::Phase::precond, "precond_apply",
-                    [&] { prec.apply(ConstVecView<real_type>(p), p_hat); });
-        obs::traced(obs::Phase::spmv, "spmv",
-                    [&] { spmv(a, ConstVecView<real_type>(p_hat), v); });
-        const real_type r_hat_v = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(r_hat),
-                             ConstVecView<real_type>(v));
-        });
-        if (r_hat_v == real_type{0}) {
-            return {iter, r_norm, false, FailureClass::breakdown_rho};
-        }
-        alpha = rho / r_hat_v;
-        // s = r - alpha * v
-        obs::traced(obs::Phase::update, "update", [&] {
-            blas::copy(ConstVecView<real_type>(r), s);
-            blas::axpy(-alpha, ConstVecView<real_type>(v), s);
-        });
-        const real_type s_norm = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::nrm2(ConstVecView<real_type>(s));
-        });
-        if (stop.done(s_norm, b_norm)) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
-            return {iter + 1, s_norm, true, FailureClass::converged};
-        }
-        obs::traced(obs::Phase::precond, "precond_apply",
-                    [&] { prec.apply(ConstVecView<real_type>(s), s_hat); });
-        obs::traced(obs::Phase::spmv, "spmv",
-                    [&] { spmv(a, ConstVecView<real_type>(s_hat), t); });
-        const real_type t_t = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(t),
-                             ConstVecView<real_type>(t));
-        });
-        const real_type t_s = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(t),
-                             ConstVecView<real_type>(s));
-        });
-        if (t_t == real_type{0}) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
-            r_norm = s_norm;
-            const bool done = stop.done(r_norm, b_norm);
-            return {iter + 1, r_norm, done,
-                    done ? FailureClass::converged
-                         : FailureClass::breakdown_omega};
-        }
-        omega = t_s / t_t;
-        // x = x + alpha * p_hat + omega * s_hat
-        obs::traced(obs::Phase::update, "update", [&] {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
-            blas::axpy(omega, ConstVecView<real_type>(s_hat), x);
-        });
-        // r = s - omega * t
-        obs::traced(obs::Phase::update, "update", [&] {
-            blas::copy(ConstVecView<real_type>(s), r);
-            blas::axpy(-omega, ConstVecView<real_type>(t), r);
-        });
-        r_norm = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::nrm2(ConstVecView<real_type>(r));
         });
         rho_old = rho;
         if (history != nullptr) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -22,10 +23,10 @@ inline constexpr int cg_work_vectors = 4;
 /// Solves A x = b with preconditioned CG. `history`, when non-null,
 /// receives the residual norm at the top of every iteration (same
 /// contract as `bicgstab_kernel`).
-template <typename MatrixView, typename Prec, typename Stop>
+template <typename MatrixView, typename Prec>
 EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
                       VecView<real_type> x, const Prec& prec,
-                      const Stop& stop, int max_iters, Workspace& ws,
+                      StopCriterion stop, int max_iters, Workspace& ws,
                       int work_offset = 0,
                       std::vector<real_type>* history = nullptr)
 {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -77,10 +78,10 @@ ChebyshevBounds gershgorin_bounds(const MatrixView& a, Workspace& ws,
 /// preconditioner matching the bounds' diagonal scaling. `history`, when
 /// non-null, receives the residual norm at the top of every iteration
 /// (same contract as `bicgstab_kernel`).
-template <typename MatrixView, typename Prec, typename Stop>
+template <typename MatrixView, typename Prec>
 EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
                              VecView<real_type> x, const Prec& prec,
-                             const Stop& stop, int max_iters,
+                             StopCriterion stop, int max_iters,
                              const ChebyshevBounds& bounds, Workspace& ws,
                              int work_offset = 0,
                              std::vector<real_type>* history = nullptr)

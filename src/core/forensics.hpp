@@ -193,7 +193,6 @@ inline obs::FailureBundleMeta make_bundle_meta(
     meta.block_jacobi_size = settings.block_jacobi_size;
     meta.richardson_omega = settings.richardson_omega;
     meta.used_initial_guess = settings.use_initial_guess;
-    meta.fused_kernels = settings.fused_kernels;
     meta.pipelined = settings.pipelined;
     meta.lockstep_width = settings.lockstep_width;
     meta.system_index = static_cast<std::int64_t>(system);
@@ -224,7 +223,6 @@ inline bool apply_bundle_meta(const obs::FailureBundleMeta& meta,
     settings.block_jacobi_size = meta.block_jacobi_size;
     settings.richardson_omega = meta.richardson_omega;
     settings.use_initial_guess = meta.used_initial_guess;
-    settings.fused_kernels = meta.fused_kernels;
     settings.pipelined = meta.pipelined;
     return true;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -46,10 +47,10 @@ struct GmresScratch {
 /// Givens residual estimate |g[j+1]| after every inner iteration (the
 /// per-iteration convergence signal GMRES actually steers by; the true
 /// residual is only recomputed at restarts).
-template <typename MatrixView, typename Prec, typename Stop>
+template <typename MatrixView, typename Prec>
 EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
                          VecView<real_type> x, const Prec& prec,
-                         const Stop& stop, int max_iters, int restart,
+                         StopCriterion stop, int max_iters, int restart,
                          Workspace& ws, GmresScratch& scratch,
                          int work_offset = 0,
                          std::vector<real_type>* history = nullptr)

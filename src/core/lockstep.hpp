@@ -37,6 +37,7 @@
 #include "blas/kernels.hpp"
 #include "core/logger.hpp"
 #include "core/pipelined.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "matrix/ell_slab.hpp"
 #include "obs/convergence.hpp"
@@ -155,22 +156,60 @@ inline real_type lane_dot(const real_type* v, const real_type* w,
 
 }  // namespace lockstep
 
+/// The lockstep kernels' view of the source batch: its size and a packer
+/// that loads system `i` into lane `lane` of a group -- its values into
+/// the interleaved slab and, when `inv_diag` is non-null, its inverted
+/// diagonal. Erasing the source format here compiles each lockstep kernel
+/// once instead of once per format; packing runs once per lane refill,
+/// outside the iteration loop.
+struct LaneSource {
+    using PackFn = void (*)(const void* batch, size_type i,
+                            const EllSlabPattern& pattern, real_type* slab,
+                            real_type* inv_diag, int width, int lane);
+
+    const void* batch = nullptr;
+    size_type num_batch = 0;
+    PackFn pack_fn = nullptr;
+
+    void pack(size_type i, const EllSlabPattern& pattern, real_type* slab,
+              real_type* inv_diag, int width, int lane) const
+    {
+        pack_fn(batch, i, pattern, slab, inv_diag, width, lane);
+    }
+};
+
+template <typename SourceBatch>
+LaneSource lane_source(const SourceBatch& a)
+{
+    return {&a, a.num_batch(),
+            [](const void* batch, size_type i, const EllSlabPattern& pattern,
+               real_type* slab, real_type* inv_diag, int width, int lane) {
+                const auto src =
+                    static_cast<const SourceBatch*>(batch)->entry(i);
+                pack_slab_lane(src, pattern, slab, width, lane);
+                if (inv_diag != nullptr) {
+                    lockstep::pack_inv_diag_lane(src, pattern.rows, inv_diag,
+                                                 width, lane);
+                }
+            }};
+}
+
 /// Runs one thread's lockstep BiCGStab group to queue exhaustion: W lanes
 /// advance through the fused iteration together; a finished lane is
 /// refilled from `next_system` at the top of the loop. Lane semantics
 /// (operation order, breakdown checks, iteration counts) match
 /// `bicgstab_kernel` exactly -- see the per-step notes.
-template <int W, bool UseJacobi, typename SourceBatch, typename Stop>
-void bicgstab_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
+template <int W, bool UseJacobi>
+void bicgstab_lockstep(const LaneSource& a, const EllSlabPattern& pattern,
                        const BatchVector<real_type>& b,
                        BatchVector<real_type>& x, bool zero_guess,
-                       const Stop& stop, int max_iters, Workspace& ws,
+                       StopCriterion stop, int max_iters, Workspace& ws,
                        std::atomic<size_type>& next_system,
                        BatchLogStage& stage, int thread,
                        obs::ConvergenceHistory* history = nullptr)
 {
     const index_type n = pattern.rows;
-    const size_type nbatch = a.num_batch();
+    const size_type nbatch = a.num_batch;
 
     real_type* r = ws.slot(0).data;
     real_type* r_hat = ws.slot(1).data;
@@ -226,11 +265,7 @@ void bicgstab_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
         obs::ScopedSpan span("lane_refill", "solver",
                              static_cast<std::int64_t>(i));
         sys[l] = i;
-        const auto src = a.entry(i);
-        pack_slab_lane(src, pattern, slab, W, l);
-        if constexpr (UseJacobi) {
-            lockstep::pack_inv_diag_lane(src, n, inv_diag, W, l);
-        }
+        a.pack(i, pattern, slab, UseJacobi ? inv_diag : nullptr, W, l);
         pack_lane(b.entry(i), LaneGroupView<real_type>{bg, n, W}, l);
         b_norm[l] = lockstep::lane_nrm2(bg, n, W, l);
         if (zero_guess) {
@@ -458,16 +493,16 @@ void bicgstab_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
 /// s-update sweep -- so a W-wide group serializes on lane scalars at TWO
 /// points per iteration (after each SpMV) instead of five. rho and the
 /// residual norm are carried by the single-iteration recurrences.
-template <int W, bool UseJacobi, typename SourceBatch, typename Stop>
+template <int W, bool UseJacobi>
 void bicgstab_lockstep_pipelined(
-    const SourceBatch& a, const EllSlabPattern& pattern,
+    const LaneSource& a, const EllSlabPattern& pattern,
     const BatchVector<real_type>& b, BatchVector<real_type>& x,
-    bool zero_guess, const Stop& stop, int max_iters, Workspace& ws,
+    bool zero_guess, StopCriterion stop, int max_iters, Workspace& ws,
     std::atomic<size_type>& next_system, BatchLogStage& stage, int thread,
     obs::ConvergenceHistory* history = nullptr)
 {
     const index_type n = pattern.rows;
-    const size_type nbatch = a.num_batch();
+    const size_type nbatch = a.num_batch;
 
     real_type* r = ws.slot(0).data;
     real_type* r_hat = ws.slot(1).data;
@@ -516,11 +551,7 @@ void bicgstab_lockstep_pipelined(
         obs::ScopedSpan span("lane_refill", "solver",
                              static_cast<std::int64_t>(i));
         sys[l] = i;
-        const auto src = a.entry(i);
-        pack_slab_lane(src, pattern, slab, W, l);
-        if constexpr (UseJacobi) {
-            lockstep::pack_inv_diag_lane(src, n, inv_diag, W, l);
-        }
+        a.pack(i, pattern, slab, UseJacobi ? inv_diag : nullptr, W, l);
         pack_lane(b.entry(i), LaneGroupView<real_type>{bg, n, W}, l);
         b_norm[l] = lockstep::lane_nrm2(bg, n, W, l);
         if (zero_guess) {
@@ -734,16 +765,16 @@ void bicgstab_lockstep_pipelined(
 
 /// Runs one thread's lockstep CG group to queue exhaustion (same lane
 /// protocol as `bicgstab_lockstep`; lane semantics match `cg_kernel`).
-template <int W, bool UseJacobi, typename SourceBatch, typename Stop>
-void cg_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
+template <int W, bool UseJacobi>
+void cg_lockstep(const LaneSource& a, const EllSlabPattern& pattern,
                  const BatchVector<real_type>& b, BatchVector<real_type>& x,
-                 bool zero_guess, const Stop& stop, int max_iters,
+                 bool zero_guess, StopCriterion stop, int max_iters,
                  Workspace& ws, std::atomic<size_type>& next_system,
                  BatchLogStage& stage, int thread,
                  obs::ConvergenceHistory* history = nullptr)
 {
     const index_type n = pattern.rows;
-    const size_type nbatch = a.num_batch();
+    const size_type nbatch = a.num_batch;
 
     real_type* r = ws.slot(0).data;
     real_type* z = ws.slot(1).data;
@@ -785,11 +816,7 @@ void cg_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
         obs::ScopedSpan span("lane_refill", "solver",
                              static_cast<std::int64_t>(i));
         sys[l] = i;
-        const auto src = a.entry(i);
-        pack_slab_lane(src, pattern, slab, W, l);
-        if constexpr (UseJacobi) {
-            lockstep::pack_inv_diag_lane(src, n, inv_diag, W, l);
-        }
+        a.pack(i, pattern, slab, UseJacobi ? inv_diag : nullptr, W, l);
         pack_lane(b.entry(i), LaneGroupView<real_type>{bg, n, W}, l);
         b_norm[l] = lockstep::lane_nrm2(bg, n, W, l);
         if (zero_guess) {
@@ -949,18 +976,18 @@ void cg_lockstep(const SourceBatch& a, const EllSlabPattern& pattern,
 /// after the r.z dot) instead of three. alpha / beta are built from the
 /// same dot values as the classic kernel, so the lane iterates evolve
 /// bit-identically; only stop decisions ride the recurrence norm.
-template <int W, bool UseJacobi, typename SourceBatch, typename Stop>
-void cg_lockstep_pipelined(const SourceBatch& a,
+template <int W, bool UseJacobi>
+void cg_lockstep_pipelined(const LaneSource& a,
                            const EllSlabPattern& pattern,
                            const BatchVector<real_type>& b,
                            BatchVector<real_type>& x, bool zero_guess,
-                           const Stop& stop, int max_iters, Workspace& ws,
+                           StopCriterion stop, int max_iters, Workspace& ws,
                            std::atomic<size_type>& next_system,
                            BatchLogStage& stage, int thread,
                            obs::ConvergenceHistory* history = nullptr)
 {
     const index_type n = pattern.rows;
-    const size_type nbatch = a.num_batch();
+    const size_type nbatch = a.num_batch;
 
     real_type* r = ws.slot(0).data;
     real_type* z = ws.slot(1).data;
@@ -1002,11 +1029,7 @@ void cg_lockstep_pipelined(const SourceBatch& a,
         obs::ScopedSpan span("lane_refill", "solver",
                              static_cast<std::int64_t>(i));
         sys[l] = i;
-        const auto src = a.entry(i);
-        pack_slab_lane(src, pattern, slab, W, l);
-        if constexpr (UseJacobi) {
-            lockstep::pack_inv_diag_lane(src, n, inv_diag, W, l);
-        }
+        a.pack(i, pattern, slab, UseJacobi ? inv_diag : nullptr, W, l);
         pack_lane(b.entry(i), LaneGroupView<real_type>{bg, n, W}, l);
         b_norm[l] = lockstep::lane_nrm2(bg, n, W, l);
         if (zero_guess) {
@@ -1169,11 +1192,11 @@ void cg_lockstep_pipelined(const SourceBatch& a,
 /// sizes the (separate, rows*W-length) workspace pool, and runs one
 /// lockstep group per OpenMP thread against a shared work queue. Per-entry
 /// results are staged per thread and merged into the log afterwards.
-template <int W, bool UseJacobi, bool UseCg, bool Pipelined = false,
-          typename SourceBatch, typename Stop>
+template <int W, bool UseJacobi, bool UseCg, bool Pipelined,
+          typename SourceBatch>
 void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
                         BatchVector<real_type>& x, bool zero_guess,
-                        const Stop& stop, int max_iters, WorkspacePool& pool,
+                        StopCriterion stop, int max_iters, WorkspacePool& pool,
                         BatchLog& log,
                         obs::ConvergenceHistory* history = nullptr)
 {
@@ -1184,6 +1207,7 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
     pool.require(nthreads, pattern.rows * W,
                  base_slots + pattern.nnz_per_row);
 
+    const LaneSource source = lane_source(a);
     BatchLogStage stage(nthreads);
     std::atomic<size_type> next_system{0};
     std::exception_ptr failure;
@@ -1197,21 +1221,22 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
             auto& ws = pool.at(thread);
             if constexpr (UseCg && Pipelined) {
                 cg_lockstep_pipelined<W, UseJacobi>(
-                    a, pattern, b, x, zero_guess, stop, max_iters, ws,
+                    source, pattern, b, x, zero_guess, stop, max_iters, ws,
                     next_system, stage, thread, history);
             } else if constexpr (UseCg) {
-                cg_lockstep<W, UseJacobi>(a, pattern, b, x, zero_guess,
-                                          stop, max_iters, ws, next_system,
-                                          stage, thread, history);
+                cg_lockstep<W, UseJacobi>(source, pattern, b, x,
+                                          zero_guess, stop, max_iters, ws,
+                                          next_system, stage, thread,
+                                          history);
             } else if constexpr (Pipelined) {
                 bicgstab_lockstep_pipelined<W, UseJacobi>(
-                    a, pattern, b, x, zero_guess, stop, max_iters, ws,
+                    source, pattern, b, x, zero_guess, stop, max_iters, ws,
                     next_system, stage, thread, history);
             } else {
-                bicgstab_lockstep<W, UseJacobi>(a, pattern, b, x, zero_guess,
-                                                stop, max_iters, ws,
-                                                next_system, stage, thread,
-                                                history);
+                bicgstab_lockstep<W, UseJacobi>(source, pattern, b, x,
+                                                zero_guess, stop, max_iters,
+                                                ws, next_system, stage,
+                                                thread, history);
             }
         } catch (...) {
 #pragma omp critical(bsis_lockstep_failure)

@@ -45,6 +45,8 @@ MonolithicResult solve_monolithic(const BatchCsr<real_type>& a,
                      "matrix/rhs/solution batch counts must match");
     BSIS_ENSURE_ARG(settings.solver == SolverType::bicgstab,
                     "monolithic mode implements BiCGStab only");
+    BSIS_ENSURE_ARG(settings.precond != PrecondType::block_jacobi,
+                    "monolithic mode supports identity and Jacobi only");
 
     const BlockDiagView global{&a};
     const index_type n_total = global.rows_total();
@@ -63,17 +65,16 @@ MonolithicResult solve_monolithic(const BatchCsr<real_type>& a,
 
     MonolithicResult result;
     Timer timer;
+    const StopCriterion stop{settings.stop, settings.tolerance};
     EntryResult entry;
     if (settings.precond == PrecondType::jacobi) {
         JacobiPrec prec;
         prec.generate(global, ws.slot(bicgstab_work_vectors));
-        entry = bicgstab_kernel(global, b_all, x_all, prec,
-                                AbsResidualStop{settings.tolerance},
+        entry = bicgstab_kernel(global, b_all, x_all, prec, stop,
                                 settings.max_iterations, ws);
     } else {
         IdentityPrec prec;
-        entry = bicgstab_kernel(global, b_all, x_all, prec,
-                                AbsResidualStop{settings.tolerance},
+        entry = bicgstab_kernel(global, b_all, x_all, prec, stop,
                                 settings.max_iterations, ws);
     }
     result.wall_seconds = timer.seconds();

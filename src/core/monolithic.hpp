@@ -46,9 +46,11 @@ struct MonolithicResult {
 };
 
 /// Solves the whole batch as one block-diagonal BiCGStab system. The
-/// stopping criterion is applied to the GLOBAL residual norm; with an
-/// absolute tolerance this forces every block to iterate until the worst
-/// block has converged.
+/// stopping criterion of `settings` (absolute or relative) is applied to
+/// the GLOBAL residual norm; with an absolute tolerance this forces every
+/// block to iterate until the worst block has converged. BiCGStab with
+/// identity or Jacobi preconditioning only: any other solver or
+/// block-Jacobi throws BadArgument.
 MonolithicResult solve_monolithic(const BatchCsr<real_type>& a,
                                   const BatchVector<real_type>& b,
                                   BatchVector<real_type>& x,

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -64,10 +65,13 @@ inline real_type recurrence_norm(real_type squared)
 /// r_hat.v dot and one dot4 sweep). The rho and residual-norm recurrences
 /// each bridge a single iteration, so the iterates track the classic
 /// kernel's to rounding and stopping decisions agree within one iteration.
-template <typename MatrixView, typename Prec, typename Stop>
+/// Kept out of line for the same reason as `bicgstab_kernel`, which shares
+/// its call site.
+template <typename MatrixView, typename Prec>
+[[gnu::noinline]]
 EntryResult pipelined_bicgstab_kernel(
     const MatrixView& a, ConstVecView<real_type> b, VecView<real_type> x,
-    const Prec& prec, const Stop& stop, int max_iters, Workspace& ws,
+    const Prec& prec, StopCriterion stop, int max_iters, Workspace& ws,
     int work_offset = 0, std::vector<real_type>* history = nullptr)
 {
     auto r = ws.slot(work_offset + 0);
@@ -204,11 +208,11 @@ EntryResult pipelined_bicgstab_kernel(
 /// beta are built from the same dot values as `cg_kernel`, so the iterates
 /// are bit-identical to the classic kernel's and only the stop decisions
 /// (recurrence norm vs measured norm) may differ by one iteration.
-template <typename MatrixView, typename Prec, typename Stop>
+template <typename MatrixView, typename Prec>
 EntryResult pipelined_cg_kernel(const MatrixView& a,
                                 ConstVecView<real_type> b,
                                 VecView<real_type> x, const Prec& prec,
-                                const Stop& stop, int max_iters,
+                                StopCriterion stop, int max_iters,
                                 Workspace& ws, int work_offset = 0,
                                 std::vector<real_type>* history = nullptr)
 {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/stop.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -20,10 +21,10 @@ inline constexpr int richardson_work_vectors = 2;
 
 /// `history`, when non-null, receives the residual norm at the top of
 /// every iteration (same contract as `bicgstab_kernel`).
-template <typename MatrixView, typename Prec, typename Stop>
+template <typename MatrixView, typename Prec>
 EntryResult richardson_kernel(const MatrixView& a, ConstVecView<real_type> b,
                               VecView<real_type> x, const Prec& prec,
-                              const Stop& stop, int max_iters, Workspace& ws,
+                              StopCriterion stop, int max_iters, Workspace& ws,
                               real_type omega = real_type{1},
                               int work_offset = 0,
                               std::vector<real_type>* history = nullptr)

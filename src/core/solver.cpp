@@ -100,109 +100,67 @@ inline constexpr bool lockstep_supported_format =
     std::is_same_v<BatchMatrix, BatchEll<real_type>> ||
     std::is_same_v<BatchMatrix, BatchSellp<real_type>>;
 
-/// Rounds a requested lockstep width down to a supported power of two
-/// (the instantiated kernel widths); < 2 selects the scalar path.
-int effective_lockstep_width(int requested)
+/// The SIMD lanes a solve of this composition runs with: `lockstep_lanes`
+/// when the lockstep path covers it and the caller asked for lockstep, 1
+/// for the scalar path. The one eligibility predicate: dispatch, the work
+/// profile and the solve.start event all read it.
+template <typename BatchMatrix>
+int simd_lanes(const SolverSettings& s)
 {
-    for (const int w : {16, 8, 4, 2}) {
-        if (requested >= w) {
-            return w;
-        }
-    }
-    return 0;
+    const bool lockstep =
+        lockstep_supported_format<BatchMatrix> && s.lockstep_width >= 2 &&
+        (s.solver == SolverType::bicgstab || s.solver == SolverType::cg) &&
+        s.precond != PrecondType::block_jacobi;
+    return lockstep ? lockstep_lanes : 1;
 }
 
 /// Dispatches the runtime solver choice to the compile-time lockstep
-/// kernel for one width.
-template <int W, bool UseJacobi, typename BatchMatrix, typename Stop>
-void run_lockstep_width(const BatchMatrix& a, const BatchVector<real_type>& b,
-                        BatchVector<real_type>& x,
-                        const SolverSettings& settings, const Stop& stop,
-                        BatchLog& log, WorkspacePool& pool,
-                        obs::ConvergenceHistory* history)
+/// kernel.
+template <bool UseJacobi, typename BatchMatrix>
+void run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
+                  BatchVector<real_type>& x, const SolverSettings& settings,
+                  StopCriterion stop, BatchLog& log,
+                  obs::ConvergenceHistory* history)
 {
+    constexpr int W = lockstep_lanes;
+    auto& pool = solve_scratch().lockstep_workspaces;
+    const bool zero_guess = !settings.use_initial_guess;
+    const int max_iters = settings.max_iterations;
     if (settings.solver == SolverType::cg) {
         if (settings.pipelined) {
             run_batch_lockstep<W, UseJacobi, true, true>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
+                a, b, x, zero_guess, stop, max_iters, pool, log, history);
         } else {
             run_batch_lockstep<W, UseJacobi, true, false>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
+                a, b, x, zero_guess, stop, max_iters, pool, log, history);
         }
     } else {
         if (settings.pipelined) {
             run_batch_lockstep<W, UseJacobi, false, true>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
+                a, b, x, zero_guess, stop, max_iters, pool, log, history);
         } else {
             run_batch_lockstep<W, UseJacobi, false, false>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
+                a, b, x, zero_guess, stop, max_iters, pool, log, history);
         }
     }
 }
 
-/// Runs the batch on the SIMD lockstep path when the composition supports
-/// it; returns false (without touching x or the log) when the scalar path
-/// must be used instead.
-template <typename BatchMatrix, typename Prec, typename Stop>
-bool try_run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
-                      BatchVector<real_type>& x,
-                      const SolverSettings& settings, const Stop& stop,
-                      BatchLog& log, obs::ConvergenceHistory* history)
-{
-    if constexpr (!lockstep_supported_format<BatchMatrix> ||
-                  std::is_same_v<Prec, BlockJacobiPrec>) {
-        return false;
-    } else {
-        if (settings.solver != SolverType::bicgstab &&
-            settings.solver != SolverType::cg) {
-            return false;
-        }
-        if (!settings.fused_kernels) {
-            return false;
-        }
-        const int w = effective_lockstep_width(settings.lockstep_width);
-        if (w == 0) {
-            return false;
-        }
-        constexpr bool use_jacobi = std::is_same_v<Prec, JacobiPrec>;
-        auto& pool = solve_scratch().lockstep_workspaces;
-        switch (w) {
-        case 2:
-            run_lockstep_width<2, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        case 4:
-            run_lockstep_width<4, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        case 8:
-            run_lockstep_width<8, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        default:
-            run_lockstep_width<16, use_jacobi>(a, b, x, settings, stop, log,
-                                               pool, history);
-            break;
-        }
-        return true;
-    }
-}
-
-/// Runs the fully composed kernel over the batch. Prec and Stop are
-/// compile-time parameters here, exactly as in the paper's fused kernel.
-template <typename BatchMatrix, typename Prec, typename Stop>
+/// Runs the fully composed kernel over the batch: on the lockstep path
+/// when `lanes > 1` (see simd_lanes), else one entry per thread. Prec is a
+/// compile-time parameter here, exactly as in the paper's fused kernel.
+template <typename BatchMatrix, typename Prec>
 void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                BatchVector<real_type>& x, const SolverSettings& settings,
-               const Stop& stop, BatchLog& log,
+               StopCriterion stop, int lanes, BatchLog& log,
                obs::ConvergenceHistory* history)
 {
-    if (try_run_lockstep<BatchMatrix, Prec>(a, b, x, settings, stop, log,
-                                            history)) {
-        return;
+    if constexpr (lockstep_supported_format<BatchMatrix> &&
+                  !std::is_same_v<Prec, BlockJacobiPrec>) {
+        if (lanes > 1) {
+            run_lockstep<std::is_same_v<Prec, JacobiPrec>>(
+                a, b, x, settings, stop, log, history);
+            return;
+        }
     }
     const size_type nbatch = a.num_batch();
     const index_type n = x.len();
@@ -274,11 +232,7 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
         EntryResult result;
         switch (settings.solver) {
         case SolverType::bicgstab:
-            result = !settings.fused_kernels
-                         ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
-                                                   settings.max_iterations,
-                                                   ws, 0, traj_ptr)
-                     : settings.pipelined
+            result = settings.pipelined
                          ? pipelined_bicgstab_kernel(
                                av, bv, xv, prec, stop,
                                settings.max_iterations, ws, 0, traj_ptr)
@@ -295,7 +249,7 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                                 settings.max_iterations, ws, 0, traj_ptr);
             break;
         case SolverType::cg:
-            result = settings.fused_kernels && settings.pipelined
+            result = settings.pipelined
                          ? pipelined_cg_kernel(av, bv, xv, prec, stop,
                                                settings.max_iterations, ws,
                                                0, traj_ptr)
@@ -348,25 +302,6 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
     stage.merge_into(log);
     if (failure) {
         std::rethrow_exception(failure);
-    }
-}
-
-template <typename BatchMatrix, typename Prec>
-void dispatch_stop(const BatchMatrix& a, const BatchVector<real_type>& b,
-                   BatchVector<real_type>& x, const SolverSettings& settings,
-                   BatchLog& log, obs::ConvergenceHistory* history)
-{
-    switch (settings.stop) {
-    case StopType::abs_residual:
-        run_batch<BatchMatrix, Prec>(a, b, x, settings,
-                                     AbsResidualStop{settings.tolerance},
-                                     log, history);
-        break;
-    case StopType::rel_residual:
-        run_batch<BatchMatrix, Prec>(a, b, x, settings,
-                                     RelResidualStop{settings.tolerance},
-                                     log, history);
-        break;
     }
 }
 
@@ -541,6 +476,9 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
         obs::trace().set_shard_capacity(
             static_cast<std::size_t>(settings.trace_shard_capacity));
     }
+    // The lanes that will run: a lockstep request the composition cannot
+    // honour shows as simd_lanes 1 next to the requested width.
+    const int lanes = simd_lanes<BatchMatrix>(settings);
     if (obs::events_enabled()) {
         obs::events().emit(
             "solve.start",
@@ -550,6 +488,7 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
              obs::field("solver", solver_name(settings.solver)),
              obs::field("precond", precond_name(settings.precond)),
              obs::field("lockstep_width", settings.lockstep_width),
+             obs::field("simd_lanes", lanes),
              obs::field("pipelined", settings.pipelined)});
     }
 
@@ -558,19 +497,8 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     result.work = work_profile(settings.solver, settings.precond,
                                settings.gmres_restart,
                                settings.block_jacobi_size,
-                               settings.fused_kernels,
-                               settings.fused_kernels && settings.pipelined);
-    // Price the SIMD lanes the lockstep path will actually use (the same
-    // eligibility checks as try_run_lockstep, evaluated up front so the
-    // cost model sees the width even before the solve runs).
-    if (lockstep_supported_format<BatchMatrix> &&
-        (settings.solver == SolverType::bicgstab ||
-         settings.solver == SolverType::cg) &&
-        settings.precond != PrecondType::block_jacobi &&
-        settings.fused_kernels) {
-        const int w = effective_lockstep_width(settings.lockstep_width);
-        result.work.simd_lanes = w > 0 ? w : 1;
-    }
+                               /*fused=*/true, settings.pipelined);
+    result.work.simd_lanes = lanes;
     // The flight recorder wants the failing systems' residual
     // trajectories in the bundle sidecar, so an armed recorder forces the
     // history on even when the caller did not ask for it.
@@ -603,18 +531,19 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
         phases_before = obs::phase_times().totals();
     }
     Timer timer;
+    const StopCriterion stop{settings.stop, settings.tolerance};
     switch (settings.precond) {
     case PrecondType::identity:
-        dispatch_stop<BatchMatrix, IdentityPrec>(a, b, x, settings,
-                                                 result.log, history);
+        run_batch<BatchMatrix, IdentityPrec>(a, b, x, settings, stop, lanes,
+                                             result.log, history);
         break;
     case PrecondType::jacobi:
-        dispatch_stop<BatchMatrix, JacobiPrec>(a, b, x, settings,
-                                               result.log, history);
+        run_batch<BatchMatrix, JacobiPrec>(a, b, x, settings, stop, lanes,
+                                           result.log, history);
         break;
     case PrecondType::block_jacobi:
-        dispatch_stop<BatchMatrix, BlockJacobiPrec>(a, b, x, settings,
-                                                    result.log, history);
+        run_batch<BatchMatrix, BlockJacobiPrec>(a, b, x, settings, stop,
+                                                lanes, result.log, history);
         break;
     }
     result.wall_seconds = timer.seconds();

@@ -2,9 +2,10 @@
 //
 // Mirrors the paper's kernel call site (Listing 2): the caller picks a
 // solver, preconditioner, and stopping criterion at run time; the driver
-// dispatches to the compile-time-composed kernel (one fused "kernel
-// launch" over the whole batch) and parallelizes over batch entries with
-// OpenMP -- each entry is the work of one GPU thread block.
+// dispatches to the kernel composed at compile time over the matrix format
+// and preconditioner (one fused "kernel launch" over the whole batch; the
+// stopping criterion stays a runtime value) and parallelizes over batch
+// entries with OpenMP -- each entry is the work of one GPU thread block.
 #pragma once
 
 #include "blas/batch_vector.hpp"
@@ -25,6 +26,12 @@ namespace obs {
 class FlightRecorder;
 }  // namespace obs
 
+/// The one width the batch-lockstep path is compiled at (see
+/// `SolverSettings::lockstep_width`). Eight lanes of doubles fill an
+/// AVX-512 register or two AVX2 registers; four lanes measured within a
+/// few percent of eight on the regression batch, so one width is kept.
+inline constexpr int lockstep_lanes = 8;
+
 /// Runtime solver composition, the analogue of assembling template
 /// arguments in the paper's Listing 2.
 struct SolverSettings {
@@ -32,8 +39,9 @@ struct SolverSettings {
     PrecondType precond = PrecondType::jacobi;
     StopType stop = StopType::abs_residual;
     /// Absolute residual threshold, or relative reduction factor when
-    /// `stop == StopType::rel_residual`. The paper's evaluation uses an
-    /// absolute tolerance of 1e-10 throughout.
+    /// `stop == StopType::rel_residual`; the two together form the
+    /// runtime `StopCriterion` every kernel checks. The paper's evaluation
+    /// uses an absolute tolerance of 1e-10 throughout.
     real_type tolerance = 1e-10;
     int max_iterations = 500;
     int gmres_restart = 30;
@@ -42,30 +50,25 @@ struct SolverSettings {
     /// When false, x is zeroed before solving; when true the caller's x is
     /// used as the initial guess (the Picard warm-start of Fig. 8).
     bool use_initial_guess = false;
-    /// When false, BiCGStab runs the reference one-sweep-per-BLAS-call
-    /// composition instead of the fused single-pass kernels. Only the
-    /// fusion A/B benches and tests flip this; results agree to rounding.
-    bool fused_kernels = true;
     /// When true, BiCGStab and CG run the pipelined recurrences (Rupp et
     /// al.): per-iteration standalone reductions collapse into one or two
     /// multi-output sweeps and the residual norm / rho are maintained by
     /// single-iteration recurrences anchored to freshly measured values.
-    /// A/B-able like `fused_kernels` (and requires it -- the pipelined
-    /// variants ARE fused kernels; with `fused_kernels == false` the flag
-    /// is ignored). Applies to the scalar, lockstep, and gpusim paths;
-    /// other solvers ignore it. Stopping decisions may differ from the
-    /// classic kernels by one iteration; failure classification is
-    /// structurally identical.
+    /// Applies to the scalar, lockstep, and gpusim paths; other solvers
+    /// ignore it. Stopping decisions may differ from the classic kernels by
+    /// one iteration; failure classification is structurally identical.
     bool pipelined = false;
-    /// SIMD batch-lockstep width: each OpenMP thread advances this many
-    /// batch entries through the fused iteration in lockstep over
-    /// batch-interleaved storage. 0 (the default) keeps the scalar
-    /// one-entry-at-a-time path; requested widths are rounded down to the
-    /// supported {2, 4, 8, 16}. The lockstep path covers BiCGStab and CG
-    /// with identity or scalar-Jacobi preconditioning on the sparse
-    /// formats (CSR / ELL / SELL-P) with fused kernels; any other
-    /// composition silently falls back to the scalar path, and results
-    /// match the scalar path per entry up to rounding.
+    /// SIMD batch-lockstep request: each OpenMP thread advances
+    /// `lockstep_lanes` batch entries through the fused iteration in
+    /// lockstep over batch-interleaved storage. 0 or 1 (the default is 0)
+    /// keeps the scalar one-entry-at-a-time path; any value >= 2 selects
+    /// the lockstep path at the one compiled width, `lockstep_lanes`,
+    /// whatever the value. The lockstep path covers BiCGStab and CG with
+    /// identity or scalar-Jacobi preconditioning on the sparse formats
+    /// (CSR / ELL / SELL-P); any other composition falls back to the scalar
+    /// path. `BatchSolveResult::work.simd_lanes` and the `solve.start`
+    /// event's `simd_lanes` field report the lanes that actually ran, and
+    /// results match the scalar path per entry up to rounding.
     int lockstep_width = 0;
     /// When true, the solve captures each system's residual trajectory
     /// (the residual norm at the top of every iteration) into

@@ -186,8 +186,7 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
     // explicitly requested or while telemetry is on; only the fused
     // BiCGStab kernel has a traced twin.
     if ((profile_ || obs::enabled()) &&
-        settings.solver == SolverType::bicgstab && settings.fused_kernels &&
-        a.num_batch() > 0) {
+        settings.solver == SolverType::bicgstab && a.num_batch() > 0) {
         const auto inputs = trace_inputs(a);
         const gpusim::ProfilePattern pattern{
             inputs.format,      inputs.row_ptrs,    inputs.csr_cols,
@@ -402,8 +401,6 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
     if (sanitize_ && settings.solver == SolverType::bicgstab &&
         a.num_batch() > 0) {
         report.sanitized = true;
-        const bool pipelined =
-            settings.pipelined && settings.fused_kernels;
         const auto inputs = trace_inputs(a);
         gpusim::Sanitizer sanitizer;
         const int num_warps =
@@ -412,7 +409,7 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
         // The pipelined kernel's widest combine publishes three partials
         // per warp; the classic kernels publish at most two.
         sanitizer.set_shared_limit(gpusim::traced_shared_bytes(
-            report.storage, num_warps, pipelined ? 3 : 2));
+            report.storage, num_warps, settings.pipelined ? 3 : 2));
         const auto blocks = std::min<size_type>(2, a.num_batch());
         for (size_type blk = 0; blk < blocks; ++blk) {
             gpusim::MemoryHierarchy mem(
@@ -430,8 +427,9 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
                 sanitizer, map, shape.rows, inputs.nnz_stored,
                 inputs.format == gpusim::TracedFormat::csr,
                 report.storage.num_global);
-            const auto trace = pipelined ? gpusim::trace_pipelined_bicgstab
-                                         : gpusim::trace_bicgstab;
+            const auto trace = settings.pipelined
+                                   ? gpusim::trace_pipelined_bicgstab
+                                   : gpusim::trace_bicgstab;
             trace(tracer, map, inputs.format, *inputs.row_ptrs,
                   *inputs.csr_cols, *inputs.ell_cols, shape.rows,
                   inputs.nnz_per_row,

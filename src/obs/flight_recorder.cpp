@@ -57,8 +57,6 @@ void write_meta(std::ostream& os, const FailureBundleMeta& meta)
     json_number(os, meta.richardson_omega);
     os << ",\n  \"used_initial_guess\": "
        << (meta.used_initial_guess ? "true" : "false");
-    os << ",\n  \"fused_kernels\": "
-       << (meta.fused_kernels ? "true" : "false");
     os << ",\n  \"pipelined\": " << (meta.pipelined ? "true" : "false");
     os << ",\n  \"lockstep_width\": " << meta.lockstep_width;
     os << ",\n  \"system_index\": " << meta.system_index;
@@ -240,7 +238,14 @@ FailureBundleMeta parse_meta(const std::string& text)
         } else if (key == "used_initial_guess") {
             meta.used_initial_guess = sc.parse_bool();
         } else if (key == "fused_kernels") {
-            meta.fused_kernels = sc.parse_bool();
+            // Retired key: bundles written while the unfused reference
+            // BiCGStab still existed carry it. `true` names the only
+            // kernel there is; `false` cannot be replayed faithfully.
+            if (!sc.parse_bool()) {
+                sc.fail("\"fused_kernels\": false names the retired "
+                        "unfused BiCGStab kernel; this bundle cannot be "
+                        "replayed");
+            }
         } else if (key == "pipelined") {
             meta.pipelined = sc.parse_bool();
         } else if (key == "lockstep_width") {

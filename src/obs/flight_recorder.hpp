@@ -40,7 +40,6 @@ struct FailureBundleMeta {
     int block_jacobi_size = 0;
     real_type richardson_omega = 0.0;
     bool used_initial_guess = false;
-    bool fused_kernels = true;
     bool pipelined = false;
     int lockstep_width = 0;
     std::int64_t system_index = 0;  ///< index within the captured batch

@@ -403,6 +403,39 @@ TEST(Monolithic, GlobalIterationCountAtLeastWorstSystem)
     EXPECT_GT(mono_work, batched.log.total_iterations());
 }
 
+TEST(Monolithic, RelativeStopEndsAtRelativeThreshold)
+{
+    // A large right-hand side puts the relative threshold far above the
+    // absolute one, so honouring `stop` must cut the iteration count.
+    auto p = Problem::make(4);
+    real_type b_norm = 0;
+    for (size_type k = 0; k < p.b.size(); ++k) {
+        p.b.data()[k] *= 1e6;
+        b_norm += p.b.data()[k] * p.b.data()[k];
+    }
+    b_norm = std::sqrt(b_norm);
+    SolverSettings s;
+    s.tolerance = 1e-8;
+    BatchVector<real_type> x_abs(4, p.a.rows());
+    const auto abs = solve_monolithic(p.a, p.b, x_abs, s);
+    s.stop = StopType::rel_residual;
+    BatchVector<real_type> x_rel(4, p.a.rows());
+    const auto rel = solve_monolithic(p.a, p.b, x_rel, s);
+    ASSERT_TRUE(rel.converged);
+    EXPECT_LT(rel.residual_norm, s.tolerance * b_norm);
+    EXPECT_GT(rel.residual_norm, s.tolerance);
+    EXPECT_LT(rel.iterations, abs.iterations);
+}
+
+TEST(Monolithic, RejectsBlockJacobi)
+{
+    auto p = Problem::make(2);
+    BatchVector<real_type> x(2, p.a.rows());
+    SolverSettings s;
+    s.precond = PrecondType::block_jacobi;
+    EXPECT_THROW(solve_monolithic(p.a, p.b, x, s), BadArgument);
+}
+
 TEST(Tuning, NinePointStencilPicksEll)
 {
     auto csr = make_synthetic_batch(32, 31, StencilKind::nine_point, 1, {});
@@ -476,7 +509,7 @@ TEST(SolverBehavior, ResidualHistoryIsRecordedAndReachesTolerance)
     std::vector<real_type> history;
     const auto result = bicgstab_kernel(
         p.a.entry(0), p.b.entry(0), x.entry(0), prec,
-        AbsResidualStop{1e-10}, 500, ws, 0, &history);
+        StopCriterion{StopType::abs_residual, 1e-10}, 500, ws, 0, &history);
     ASSERT_TRUE(result.converged);
     // One entry per evaluated iteration boundary, starting at iteration 0.
     EXPECT_GE(static_cast<int>(history.size()), result.iterations);

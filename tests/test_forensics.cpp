@@ -13,6 +13,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -346,7 +348,6 @@ TEST(FlightRecorderTest, BundleRoundTripsNonFiniteValues)
     meta.block_jacobi_size = 4;
     meta.richardson_omega = 0.9;
     meta.used_initial_guess = true;
-    meta.fused_kernels = true;
     meta.lockstep_width = 8;
     meta.system_index = 5;
     meta.iterations = 3;
@@ -378,6 +379,34 @@ TEST(FlightRecorderTest, BundleRoundTripsNonFiniteValues)
     EXPECT_TRUE(std::isnan(bundle.meta.residual_norm));
     ASSERT_EQ(bundle.meta.history_residuals.size(), 4u);
     EXPECT_TRUE(std::isnan(bundle.meta.history_residuals[2]));
+
+    // The retired "fused_kernels" key is no longer written, but bundles
+    // captured before its removal still load: `true` names the only
+    // BiCGStab there is, `false` the retired unfused kernel, which must be
+    // rejected rather than silently replayed on the fused one.
+    const fs::path meta_path = fs::path(bundles.front()) / "meta.json";
+    std::string text;
+    {
+        std::ifstream is(meta_path);
+        text.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    EXPECT_EQ(text.find("fused_kernels"), std::string::npos);
+    const auto with_fused_key = [&](const char* value) {
+        std::ofstream os(meta_path);
+        os << "{\n  \"fused_kernels\": " << value << ","
+           << text.substr(text.find('{') + 1);
+    };
+    with_fused_key("true");
+    EXPECT_EQ(obs::load_bundle(bundles.front()).meta.max_iterations, 77);
+    with_fused_key("false");
+    try {
+        obs::load_bundle(bundles.front());
+        ADD_FAILURE() << "a bundle naming the unfused kernel loaded";
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("unfused"), std::string::npos)
+            << e.what();
+    }
     fs::remove_all(dir);
 }
 

@@ -704,17 +704,32 @@ TEST_F(MonitorIntegrationTest, SolveEmitsStartAndEndEvents)
     SolverSettings settings;
     BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
     solve_batch(p.a, p.b, x, settings);
+    // A lockstep request the composition honours, then one it cannot
+    // (block-Jacobi has no lockstep kernel): the start event carries the
+    // lanes that actually ran next to the requested width.
+    settings.lockstep_width = 8;
+    solve_batch(p.a, p.b, x, settings);
+    settings.precond = PrecondType::block_jacobi;
+    solve_batch(p.a, p.b, x, settings);
     obs::close_events();
 
     const auto lines = read_lines(path);
-    ASSERT_GE(lines.size(), 2u);
+    ASSERT_GE(lines.size(), 6u);
     EXPECT_NE(lines[0].find("\"event\": \"solve.start\""),
               std::string::npos);
     EXPECT_NE(lines[0].find("\"solver\": \"bicgstab\""),
               std::string::npos);
+    EXPECT_NE(lines[0].find("\"lockstep_width\": 0"), std::string::npos);
+    EXPECT_NE(lines[0].find("\"simd_lanes\": 1"), std::string::npos);
     EXPECT_NE(lines[1].find("\"event\": \"solve.end\""),
               std::string::npos);
     EXPECT_NE(lines[1].find("\"unconverged\": 0"), std::string::npos);
+    EXPECT_NE(lines[2].find("\"lockstep_width\": 8"), std::string::npos);
+    EXPECT_NE(lines[2].find("\"simd_lanes\": 8"), std::string::npos);
+    EXPECT_NE(lines[4].find("\"precond\": \"block_jacobi\""),
+              std::string::npos);
+    EXPECT_NE(lines[4].find("\"lockstep_width\": 8"), std::string::npos);
+    EXPECT_NE(lines[4].find("\"simd_lanes\": 1"), std::string::npos);
     fs::remove(path);
 }
 

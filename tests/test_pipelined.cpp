@@ -79,7 +79,6 @@ void expect_pipelined_matches_classic(const BatchCsr<real_type>& csr,
                                       SolverSettings settings, int width)
 {
     const size_type nbatch = a.num_batch();
-    settings.fused_kernels = true;
     settings.lockstep_width = width;
     BatchVector<real_type> x_classic(nbatch, a.rows());
     BatchVector<real_type> x_pipe(nbatch, a.rows());
@@ -379,21 +378,6 @@ TEST(PipelinedGpusim, FewerBarriersAndLowerModeledIterationCost)
 // ---------------------------------------------------------------------
 // Flag semantics
 // ---------------------------------------------------------------------
-
-TEST(PipelinedFlag, RequiresFusedKernels)
-{
-    // With fused_kernels == false the pipelined flag is ignored: the
-    // reference composition runs and converges as usual.
-    auto p = Problem::make(5);
-    auto s = base_settings(SolverType::bicgstab, PrecondType::jacobi);
-    s.fused_kernels = false;
-    s.pipelined = true;
-    BatchVector<real_type> x(5, p.a.rows());
-    const auto result = solve_batch(p.a, p.b, x, s);
-    EXPECT_TRUE(result.log.all_converged());
-    // The unfused reference profile carries no fused sweep shape.
-    EXPECT_FALSE(result.work.has_fused_shape());
-}
 
 TEST(PipelinedFlag, OtherSolversIgnoreTheFlag)
 {

@@ -132,7 +132,6 @@ bool replay_bundle(const std::string& bundle_dir, const ReplayOptions& opt,
     }
     if (opt.pipelined) {
         settings.pipelined = true;
-        settings.fused_kernels = true;  // the pipelined variants are fused
     }
 
     const auto n = static_cast<index_type>(bundle.a.rows);
