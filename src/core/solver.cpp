@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <vector>
 
 #include "core/bicg.hpp"
 #include "core/bicgstab.hpp"
@@ -348,24 +349,30 @@ constexpr obs::LedgerFormat ledger_format()
 /// Joins the measured phase-time delta of this solve with the work ledger:
 /// per-phase achieved-GB/s / GF/s / roofline gauges, the drift check
 /// against the host roofline model, and the continuous-profiler window.
+/// `phases.seconds[]` is wall-clock (already divided by the `threads`
+/// that recorded); `phases.cpu_seconds[]` is summed over those threads.
 void record_phase_metrics(obs::MetricsRegistry& m,
                           const obs::WorkLedger& ledger,
-                          const obs::PhaseTotals& phases)
+                          const obs::PhaseTotals& phases, int threads)
 {
     const auto peaks = obs::host_roofline();
     const auto attribution = obs::attribute_phases(ledger, phases, peaks);
     obs::record_phase_attribution(m, "solve", attribution);
+    // The divisor behind the wall-clock phase seconds: seconds x threads
+    // gives back the thread-seconds the spans recorded.
+    m.set_named("solve.phase.threads", static_cast<double>(threads));
     m.set_named("solve.roofline.peak_gbps", peaks.gbps);
     m.set_named("solve.roofline.peak_gflops", peaks.gflops);
 
     // Drift: measured thread-CPU seconds per phase vs the roofline floor
     // the ledger implies (only the SHARES are compared, so the model's
-    // absolute bandwidth assumption cancels out). CPU rather than wall
-    // time: a scheduler preemption landing inside one span rewrites the
-    // wall-share mix of a millisecond-scale solve, while the CPU shares
-    // stay put -- bandwidth attribution above keeps wall time, drift
-    // keeps its meaning on a loaded machine. Phase::other has no model
-    // and stays zero on both sides.
+    // absolute bandwidth assumption cancels out, and so would a divisor
+    // common to all phases: the CPU seconds stay thread-summed). CPU
+    // rather than wall time: a scheduler preemption landing inside one
+    // span rewrites the wall-share mix of a millisecond-scale solve,
+    // while the CPU shares stay put -- bandwidth attribution above keeps
+    // wall time, drift keeps its meaning on a loaded machine.
+    // Phase::other has no model and stays zero on both sides.
     double measured[obs::phase_count] = {};
     double modeled[obs::phase_count] = {};
     for (int p = 0; p < obs::phase_count; ++p) {
@@ -397,7 +404,7 @@ void record_phase_metrics(obs::MetricsRegistry& m,
 /// Post-solve metrics recording (cold path; called once per batch).
 void record_solve_metrics(const BatchSolveResult& result,
                           const obs::WorkLedger& ledger,
-                          const obs::PhaseTotals& phases)
+                          const obs::PhaseTotals& phases, int threads)
 {
     auto& m = obs::metrics();
     m.add_named("solve.batches");
@@ -428,7 +435,7 @@ void record_solve_metrics(const BatchSolveResult& result,
     m.set_named("solve.last_wall_seconds", result.wall_seconds);
     m.set_named("solve.simd_lanes",
                 static_cast<double>(result.work.simd_lanes));
-    record_phase_metrics(m, ledger, phases);
+    record_phase_metrics(m, ledger, phases, threads);
     obs::sync_trace_dropped_gauge();
 }
 
@@ -524,11 +531,16 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     // accumulator tallies every thread, so the delta is attributable to
     // THIS solve as long as solves are not concurrent (the documented
     // assumption of per-solve attribution; concurrent solves only blur
-    // the split, never the totals).
+    // the split, never the totals). The delta sums thread-seconds; the
+    // per-shard span counts tell how many threads recorded, and dividing
+    // by that count makes the phase seconds wall-clock, comparable with
+    // the solve's wall time and with the node-wide roofline peak.
     obs::PhaseTotals phases_before;
+    std::vector<std::int64_t> shard_calls_before;
     const bool attribute = obs::metrics_enabled();
     if (attribute) {
         phases_before = obs::phase_times().totals();
+        shard_calls_before = obs::phase_times().shard_calls();
     }
     Timer timer;
     const StopCriterion stop{settings.stop, settings.tolerance};
@@ -548,13 +560,16 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     }
     result.wall_seconds = timer.seconds();
     if (attribute && obs::metrics_enabled()) {
+        const int threads = obs::recording_threads(
+            shard_calls_before, obs::phase_times().shard_calls());
         const obs::PhaseTotals phase_delta =
-            obs::phase_times().totals() - phases_before;
+            (obs::phase_times().totals() - phases_before)
+                .wall_clock(threads);
         const auto ledger = obs::work_ledger(
             result.work, ledger_shape(a), ledger_format<BatchMatrix>(),
             static_cast<double>(result.log.total_iterations()),
             static_cast<double>(a.num_batch()));
-        record_solve_metrics(result, ledger, phase_delta);
+        record_solve_metrics(result, ledger, phase_delta, threads);
     }
     if (settings.flight_recorder != nullptr) {
         capture_failures(a, b, x0_snapshot, settings, result);

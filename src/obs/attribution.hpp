@@ -134,7 +134,10 @@ struct PhaseAttribution {
 };
 
 /// Joins measured phase times with the ledger under `peaks`. Phases with
-/// no measured time and no ledger work are omitted.
+/// no measured time and no ledger work are omitted. `measured.seconds[]`
+/// should be wall-clock (PhaseTotals::wall_clock) when the work ran on
+/// several threads: the ledger holds the whole batch's bytes, and the
+/// peaks are node-wide.
 std::vector<PhaseAttribution> attribute_phases(const WorkLedger& ledger,
                                                const PhaseTotals& measured,
                                                const RooflinePeaks& peaks);
@@ -160,7 +163,7 @@ struct DriftConfig {
     double min_share = 0.05;
     /// All share checks are skipped when the measured side's total falls
     /// below this (same units as the measured input; the default assumes
-    /// wall seconds). On a solve whose phases sum to mere microseconds a
+    /// seconds -- on the host, CPU seconds summed over threads). On a solve whose phases sum to mere microseconds a
     /// single scheduler preemption inside one span rewrites the whole
     /// share mix, so an alarm would report OS noise, not model error.
     /// Callers whose measured side is deterministic (the gpusim

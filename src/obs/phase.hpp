@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "obs/sharding.hpp"
 
@@ -54,12 +55,15 @@ inline const char* phase_name(Phase phase)
 
 /// Point-in-time sum over every shard: wall seconds, thread-CPU seconds
 /// and span count per phase kind. Subtraction gives the delta
-/// attributable to one solve. Wall time is what bandwidth attribution
-/// wants (achieved GB/s is a wall-clock fact); CPU time is what drift
-/// detection wants -- a scheduler preemption landing inside one span
-/// inflates its wall share arbitrarily but leaves its CPU share intact,
-/// so share comparisons against the model stay meaningful on a loaded
-/// machine.
+/// attributable to one solve. Both clocks are summed over the threads
+/// that recorded, so a delta of a multi-threaded solve holds
+/// thread-seconds; wall_clock() turns `seconds[]` into wall-clock time
+/// (thread-seconds / threads that recorded). Wall time is what bandwidth
+/// attribution wants (achieved GB/s is a wall-clock fact, set against a
+/// node-wide peak); thread-summed CPU time is what drift detection wants
+/// -- a scheduler preemption landing inside one span inflates its wall
+/// share arbitrarily but leaves its CPU share intact, so share
+/// comparisons against the model stay meaningful on a loaded machine.
 struct PhaseTotals {
     double seconds[phase_count] = {};
     double cpu_seconds[phase_count] = {};
@@ -93,7 +97,37 @@ struct PhaseTotals {
         }
         return d;
     }
+
+    /// This delta with `seconds[]` divided by the number of threads that
+    /// recorded it in parallel (see recording_threads). Each thread's
+    /// spans lie inside the measured interval and do not overlap one
+    /// another, so the result stays within the interval's wall time.
+    /// `cpu_seconds[]` and `calls[]` keep their thread sums.
+    PhaseTotals wall_clock(int threads) const
+    {
+        PhaseTotals w = *this;
+        if (threads > 1) {
+            for (double& s : w.seconds) {
+                s /= threads;
+            }
+        }
+        return w;
+    }
 };
+
+/// Number of shards whose span count changed between two
+/// PhaseAccumulator::shard_calls() snapshots -- the threads that recorded
+/// in between. Shards registered after `before` was taken count from 0.
+inline int recording_threads(const std::vector<std::int64_t>& before,
+                             const std::vector<std::int64_t>& after)
+{
+    int threads = 0;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        const std::int64_t earlier = i < before.size() ? before[i] : 0;
+        threads += after[i] != earlier ? 1 : 0;
+    }
+    return threads;
+}
 
 /// Per-thread sharded phase-time tally. add() is wait-free (two relaxed
 /// fetch_adds on the calling thread's own cache line); totals() sums the
@@ -128,6 +162,22 @@ public:
             }
         });
         return t;
+    }
+
+    /// Span count of every shard (all phases), in registration order.
+    /// Cold path: solve_batch diffs two of these to find how many threads
+    /// a solve's phase times were summed over (recording_threads).
+    std::vector<std::int64_t> shard_calls() const
+    {
+        std::vector<std::int64_t> out;
+        shards_.for_each([&](const Shard& shard) {
+            std::int64_t sum = 0;
+            for (int p = 0; p < phase_count; ++p) {
+                sum += shard.calls[p].load(std::memory_order_relaxed);
+            }
+            out.push_back(sum);
+        });
+        return out;
     }
 
     /// Zeroes every shard (tests; not needed for delta-based use).

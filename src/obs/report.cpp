@@ -394,6 +394,12 @@ SolveReport render_solve_report(
                << " flop/B)";
         }
         os << "\n";
+        const std::string threads_key = prefix + ".phase.threads";
+        if (metrics.has_gauge(threads_key)) {
+            os << "  seconds are wall-clock: thread-seconds / "
+               << format_number(metrics.gauge(threads_key))
+               << " recording thread(s)\n";
+        }
         os << "  " << pad("phase", 14, false) << pad("seconds", 11)
            << pad("calls", 9) << pad("GB", 10) << pad("GFLOP", 10)
            << pad("GB/s", 9) << pad("GF/s", 9) << pad("flop/B", 9)

@@ -10,6 +10,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "core/solver.hpp"
 #include "exec/executor.hpp"
 #include "gpusim/device.hpp"
@@ -535,6 +539,28 @@ TEST(PhaseTimer, DisabledRecordsNothing)
     EXPECT_EQ(delta.calls[static_cast<int>(obs::Phase::update)], 0);
 }
 
+TEST(PhaseTimer, WallClockDividesOnlyWallSeconds)
+{
+    obs::PhaseTotals t;
+    t.seconds[0] = 3.0;
+    t.cpu_seconds[0] = 2.4;
+    t.calls[0] = 30;
+    const auto w = t.wall_clock(3);
+    EXPECT_DOUBLE_EQ(w.seconds[0], 1.0);
+    EXPECT_DOUBLE_EQ(w.cpu_seconds[0], 2.4);
+    EXPECT_EQ(w.calls[0], 30);
+    // No recording thread (an empty batch) leaves the delta as it is.
+    EXPECT_DOUBLE_EQ(t.wall_clock(0).seconds[0], 3.0);
+}
+
+TEST(PhaseTimer, RecordingThreadsCountsChangedAndNewShards)
+{
+    // Shard 0 idle, shard 1 recorded, shard 2 registered in between.
+    EXPECT_EQ(obs::recording_threads({5, 7}, {5, 9, 4}), 2);
+    EXPECT_EQ(obs::recording_threads({5, 7}, {5, 7}), 0);
+    EXPECT_EQ(obs::recording_threads({}, {1, 0, 2}), 2);
+}
+
 // ---------------------------------------------------------------------
 // End to end: real solves on all three paths produce sane attribution
 // (bandwidth within (0, peak]) and zero drift alarms.
@@ -671,6 +697,56 @@ TEST_F(AttributionEndToEnd, LockstepPathAttributesAndStaysWithinRoofline)
     EXPECT_GT(snap.counter("obs.drift.checks"), 0);
 }
 
+TEST_F(AttributionEndToEnd, PhaseSecondsStayWithinWallAtEveryThreadCount)
+{
+    // solve.phase.*.seconds are the threads' summed span time divided by
+    // the threads that recorded (solve.phase.threads), so on both host
+    // paths they stay within the solve's wall time at any thread count.
+    // Forcing each count exercises the division on a 1-2 core machine.
+#ifdef _OPENMP
+    struct RestoreThreads {
+        int saved = omp_get_max_threads();
+        ~RestoreThreads() { omp_set_num_threads(saved); }
+    } restore;
+#endif
+    auto p = make_problem_big(24);
+    for (const int width : {0, 8}) {
+        for (const int t : {1, 2, 4}) {
+#ifdef _OPENMP
+            omp_set_num_threads(t);
+#endif
+            reset_all();
+            obs::set_metrics_enabled(true);
+            SolverSettings settings;
+            settings.lockstep_width = width;
+            BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
+            const auto result = solve_batch(p.a, p.b, x, settings);
+            obs::set_metrics_enabled(false);
+            ASSERT_TRUE(result.log.all_converged())
+                << "width " << width << ", " << t << " threads";
+
+            const auto snap = obs::metrics().snapshot();
+            double phase_seconds = 0;
+            for (const auto& name :
+                 {"spmv", "precond_apply", "reduction", "update"}) {
+                phase_seconds += snap.gauge(std::string("solve.phase.") +
+                                            name + ".seconds");
+            }
+            const double threads = snap.gauge("solve.phase.threads");
+            EXPECT_GT(phase_seconds, 0.0)
+                << "width " << width << ", " << t << " threads";
+            EXPECT_LE(phase_seconds,
+                      snap.gauge("solve.last_wall_seconds") * 1.001)
+                << "width " << width << ", " << t << " threads, divisor "
+                << threads;
+            EXPECT_GE(threads, 1.0)
+                << "width " << width << ", " << t << " threads";
+            EXPECT_LE(threads, static_cast<double>(t))
+                << "width " << width << ", " << t << " threads";
+        }
+    }
+}
+
 TEST_F(AttributionEndToEnd, SimGpuPathAttributesAndStaysWithinRoofline)
 {
     auto p = make_problem(6);
@@ -718,6 +794,7 @@ TEST_F(AttributionEndToEnd, ReportRoundTripOverLiveSnapshot)
     EXPECT_EQ(report.bandwidth_violations, 0);
     EXPECT_NE(report.text.find("performance report"), std::string::npos);
     EXPECT_NE(report.text.find("spmv"), std::string::npos);
+    EXPECT_NE(report.text.find("recording thread"), std::string::npos);
     EXPECT_NE(report.text.find("PASS"), std::string::npos);
 }
 
