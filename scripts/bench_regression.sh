@@ -17,6 +17,10 @@
 # Usage: scripts/bench_regression.sh            (full run, ~1000 systems)
 #        BSIS_QUICK=1 scripts/bench_regression.sh   (smoke-size run)
 #        BUILD_DIR=out scripts/bench_regression.sh
+#
+# Every gate runs even when an earlier one fails (the bench writes its
+# JSON and metrics before gating); the script then exits 1 and names each
+# gate that failed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,8 +37,14 @@ else
   echo "bench_regression.sh: no committed baseline; writing the first one"
 fi
 
+FAILED_GATES=()
+status=0
 "$BUILD_DIR/bench/bench_regression" --out BENCH_solvers.json \
-    --metrics-out "$BUILD_DIR/BENCH_metrics.json" "${BASELINE_ARGS[@]}"
+    --metrics-out "$BUILD_DIR/BENCH_metrics.json" "${BASELINE_ARGS[@]}" \
+    || status=$?
+if [ "$status" -ne 0 ]; then
+  FAILED_GATES+=("bench_regression (exit $status)")
+fi
 
 # Performance-attribution gate: render the telemetry-live repetitions'
 # metrics snapshot through tools/solve_report and fail on drift alarms
@@ -42,8 +52,13 @@ fi
 # phase bandwidth outside (0, peak].
 echo "-- solve_report drift/bandwidth gate"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target solve_report
+status=0
 "$BUILD_DIR/tools/solve_report" "$BUILD_DIR/BENCH_metrics.json" \
-    --out="$BUILD_DIR/BENCH_report.txt" --gate-drift --gate-bandwidth
+    --out="$BUILD_DIR/BENCH_report.txt" --gate-drift --gate-bandwidth \
+    || status=$?
+if [ "$status" -ne 0 ]; then
+  FAILED_GATES+=("solve_report drift/bandwidth (exit $status)")
+fi
 echo "   report at $BUILD_DIR/BENCH_report.txt"
 
 # Pipelined gate, re-checked here from the written JSON in case the bench
@@ -51,7 +66,7 @@ echo "   report at $BUILD_DIR/BENCH_report.txt"
 # pipelined lockstep8 row must beat classic lockstep8 (the variant's whole
 # point is fewer, fatter sweeps per iteration).
 if [ "${BSIS_QUICK:-0}" != "1" ]; then
-  python3 - <<'EOF'
+  python3 - <<'EOF' || FAILED_GATES+=("pipelined lockstep8 re-check")
 import json, sys
 doc = json.load(open("BENCH_solvers.json"))
 if doc.get("smoke"):
@@ -98,3 +113,9 @@ print("bench_regression.sh: appended results/bench_history.jsonl (%s)"
 EOF
 
 echo "bench_regression.sh: wrote $(pwd)/BENCH_solvers.json"
+if [ "${#FAILED_GATES[@]}" -ne 0 ]; then
+  for gate in "${FAILED_GATES[@]}"; do
+    echo "bench_regression.sh: FAILED gate: $gate" >&2
+  done
+  exit 1
+fi

@@ -1,6 +1,7 @@
 #include "xgc/collision_operator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -14,97 +15,86 @@ CollisionOperator::CollisionOperator(const VelocityGrid& grid,
     : grid_(grid),
       species_(std::move(species)),
       pattern_(make_stencil_pattern(grid.n_vpar(), grid.n_vperp(),
-                                    StencilKind::nine_point)),
-      scratch_(pattern_.col_idxs.size(), 0.0)
+                                    StencilKind::nine_point))
 {}
 
-void CollisionOperator::add(index_type row, index_type col,
+void CollisionOperator::add(real_type* acc, index_type row, index_type col,
                             real_type coeff) const
 {
     for (index_type p = pattern_.row_ptrs[row];
          p < pattern_.row_ptrs[row + 1]; ++p) {
         if (pattern_.col_idxs[p] == col) {
-            scratch_[static_cast<std::size_t>(p)] += coeff;
+            acc[p] += coeff;
             return;
         }
     }
     throw Error("CollisionOperator: coefficient outside 9-point stencil");
 }
 
-void CollisionOperator::set_background(const PlasmaState& state,
-                                       ConstVecView<real_type> f)
+std::vector<real_type> CollisionOperator::screening_table(
+    const PlasmaState& state, ConstVecView<real_type> f) const
 {
     BSIS_ENSURE_DIMS(f.len == grid_.rows(), "distribution size mismatch");
-    constexpr int num_shells = 48;
-    std::vector<real_type> actual(num_shells, 0.0);
-    std::vector<real_type> reference(num_shells, 0.0);
+    constexpr int num_shells = screening_shells;
+    std::array<real_type, num_shells> actual{};
+    std::array<real_type, num_shells> reference{};
 
     const real_type t = std::max(state.temperature, real_type{1e-12});
     const real_type vth = std::sqrt(t);
-    PlasmaState maxw_state = state;
+    const real_type norm =
+        state.density /
+        std::pow(2 * std::numbers::pi_v<real_type> * t, real_type{1.5});
     for (index_type j = 0; j < grid_.n_vperp(); ++j) {
         const real_type vol = grid_.cell_volume(j);
         const real_type w2 = grid_.vperp(j);
         for (index_type i = 0; i < grid_.n_vpar(); ++i) {
             const real_type w1 = grid_.vpar(i) - state.u_par;
             const real_type wbar = std::sqrt(w1 * w1 + w2 * w2) / vth;
-            int shell = static_cast<int>(wbar / screen_max_ * num_shells);
+            int shell =
+                static_cast<int>(wbar / screening_max_speed * num_shells);
             shell = std::min(shell, num_shells - 1);
             const real_type maxw =
-                maxw_state.density /
-                std::pow(2 * std::numbers::pi_v<real_type> * t,
-                         real_type{1.5}) *
-                std::exp(-(w1 * w1 + w2 * w2) / (2 * t));
+                norm * std::exp(-(w1 * w1 + w2 * w2) / (2 * t));
             actual[static_cast<std::size_t>(shell)] +=
                 f[grid_.row(i, j)] * vol;
             reference[static_cast<std::size_t>(shell)] += maxw * vol;
         }
     }
-    screen_.assign(num_shells, real_type{1});
-    for (int s = 0; s < num_shells; ++s) {
-        if (reference[static_cast<std::size_t>(s)] > real_type{1e-14}) {
-            screen_[static_cast<std::size_t>(s)] =
-                std::clamp(actual[static_cast<std::size_t>(s)] /
-                               reference[static_cast<std::size_t>(s)],
-                           real_type{0.2}, real_type{5.0});
+    std::vector<real_type> screen(num_shells, real_type{1});
+    for (std::size_t s = 0; s < screen.size(); ++s) {
+        if (reference[s] > real_type{1e-14}) {
+            screen[s] = std::clamp(actual[s] / reference[s], real_type{0.2},
+                                   real_type{5.0});
         }
     }
+    return screen;
 }
 
-void CollisionOperator::clear_background() { screen_.clear(); }
-
-void CollisionOperator::blend_background(const std::vector<real_type>& other,
-                                         real_type weight)
+real_type CollisionOperator::screening(std::span<const real_type> screen,
+                                       real_type wbar) const
 {
-    BSIS_ENSURE_DIMS(other.size() == screen_.size(),
-                     "screening tables must match");
-    for (std::size_t s = 0; s < screen_.size(); ++s) {
-        screen_[s] = (1 - weight) * screen_[s] + weight * other[s];
-    }
-}
-
-real_type CollisionOperator::screening(real_type wbar) const
-{
-    if (screen_.empty()) {
+    if (screen.empty()) {
         return 1;
     }
-    const auto n = static_cast<int>(screen_.size());
+    const auto n = static_cast<int>(screen.size());
     const real_type pos =
-        std::clamp(wbar / screen_max_ * n - real_type{0.5}, real_type{0},
-                   static_cast<real_type>(n - 1));
+        std::clamp(wbar / screening_max_speed * n - real_type{0.5},
+                   real_type{0}, static_cast<real_type>(n - 1));
     const int lo = static_cast<int>(pos);
     const int hi = std::min(lo + 1, n - 1);
     const real_type frac = pos - lo;
     const real_type kappa =
-        (1 - frac) * screen_[static_cast<std::size_t>(lo)] +
-        frac * screen_[static_cast<std::size_t>(hi)];
+        (1 - frac) * screen[static_cast<std::size_t>(lo)] +
+        frac * screen[static_cast<std::size_t>(hi)];
     // Modulate with the species' screening strength.
     return 1 + species_.screening_strength * (kappa - 1);
 }
 
-void CollisionOperator::tensor(const PlasmaState& state, real_type vpar,
-                               real_type vperp, real_type& d11,
-                               real_type& d12, real_type& d22) const
+void CollisionOperator::tensor(const PlasmaState& state,
+                               std::span<const real_type> screen,
+                               real_type vpar, real_type vperp,
+                               real_type& d11, real_type& d12,
+                               real_type& d22) const
 {
     const real_type t2 = state.temperature;
     const real_type w1 = vpar - state.u_par;
@@ -120,10 +110,10 @@ void CollisionOperator::tensor(const PlasmaState& state, real_type vpar,
     // both decay at high speed, the perpendicular one more slowly --
     // exactly the anisotropy that produces the mixed-derivative terms.
     const real_type denom = 1 + wbar * wbar * wbar / 3;
-    const real_type screen = screening(wbar);
-    const real_type phi_par = screen * t2 / denom;
+    const real_type kappa = screening(screen, wbar);
+    const real_type phi_par = kappa * t2 / denom;
     const real_type phi_perp =
-        screen * t2 * (1 + wbar * wbar / 4) / denom;
+        kappa * t2 * (1 + wbar * wbar / 4) / denom;
     const real_type diff = phi_par - phi_perp;
     d11 = phi_perp + diff * (w1 * w1) / w_sq;
     d22 = phi_perp + diff * (w2 * w2) / w_sq;
@@ -131,9 +121,10 @@ void CollisionOperator::tensor(const PlasmaState& state, real_type vpar,
 }
 
 void CollisionOperator::accumulate(const PlasmaState& state,
-                                   real_type scale) const
+                                   std::span<const real_type> screen,
+                                   real_type* acc) const
 {
-    std::fill(scratch_.begin(), scratch_.end(), real_type{0});
+    std::fill_n(acc, pattern_.col_idxs.size(), real_type{0});
     const index_type nx = grid_.n_vpar();
     const index_type ny = grid_.n_vperp();
     const real_type d1 = grid_.dvpar();
@@ -144,7 +135,6 @@ void CollisionOperator::accumulate(const PlasmaState& state,
     const real_type nu = species_.collision_rate *
                          (state.density / species_.reference_density) /
                          std::pow(t2, real_type{1.5});
-    const real_type k = scale * nu;
 
     // Maxwellian-weighted (Chang-Cooper-type) form of the bracket:
     //   a f + grad f  =  M grad(f / M),   M = exp(-|v - u|^2 / 2T),
@@ -169,7 +159,7 @@ void CollisionOperator::accumulate(const PlasmaState& state,
             real_type d11;
             real_type d12;
             real_type d22;
-            tensor(state, vpar_f, vperp_c, d11, d12, d22);
+            tensor(state, screen, vpar_f, vperp_c, d11, d12, d22);
             const real_type lmf = log_m(vpar_f, vperp_c);
 
             const index_type left = grid_.row(i, j);
@@ -177,8 +167,8 @@ void CollisionOperator::accumulate(const PlasmaState& state,
             // Flux coefficient on a distribution value `col` contributes
             // +c/d1 to the left row and -c/d1 to the right row.
             const auto flux = [&](index_type col, real_type coeff) {
-                add(left, col, k * coeff / d1);
-                add(right, col, -k * coeff / d1);
+                add(acc, left, col, nu * coeff / d1);
+                add(acc, right, col, -nu * coeff / d1);
             };
             // d11 * M_f * ((f/M)_R - (f/M)_L) / d1
             flux(left, -d11 * ratio(lmf, log_m(grid_.vpar(i), vperp_c)) /
@@ -215,7 +205,7 @@ void CollisionOperator::accumulate(const PlasmaState& state,
             real_type d11;
             real_type d12;
             real_type d22;
-            tensor(state, vpar_c, vperp_f, d11, d12, d22);
+            tensor(state, screen, vpar_c, vperp_f, d11, d12, d22);
             const real_type lmf = log_m(vpar_c, vperp_f);
 
             const index_type bottom = grid_.row(i, j);
@@ -223,8 +213,8 @@ void CollisionOperator::accumulate(const PlasmaState& state,
             // Cylindrical metric: flux weighted by the face radius and
             // divided by each cell's center radius.
             const auto flux = [&](index_type col, real_type coeff) {
-                add(bottom, col, k * coeff * vperp_f / (jac_b * d2));
-                add(top, col, -k * coeff * vperp_f / (jac_t * d2));
+                add(acc, bottom, col, nu * coeff * vperp_f / (jac_b * d2));
+                add(acc, top, col, -nu * coeff * vperp_f / (jac_t * d2));
             };
             // d22 * M_f * ((f/M)_T - (f/M)_B) / d2
             flux(bottom,
@@ -250,35 +240,37 @@ void CollisionOperator::accumulate(const PlasmaState& state,
     }
 }
 
-void CollisionOperator::assemble(const PlasmaState& state, real_type dt,
-                                 real_type* values) const
+void CollisionOperator::assemble(const PlasmaState& state,
+                                 std::span<const real_type> screen,
+                                 real_type dt, real_type* values) const
 {
     BSIS_ENSURE_ARG(dt > 0, "time step must be positive");
-    accumulate(state, real_type{1});
+    accumulate(state, screen, values);
     const index_type rows = pattern_.rows();
     for (index_type r = 0; r < rows; ++r) {
         for (index_type p = pattern_.row_ptrs[r];
              p < pattern_.row_ptrs[r + 1]; ++p) {
             const real_type identity =
                 pattern_.col_idxs[p] == r ? real_type{1} : real_type{0};
-            values[p] =
-                identity - dt * scratch_[static_cast<std::size_t>(p)];
+            values[p] = identity - dt * values[p];
         }
     }
 }
 
 void CollisionOperator::apply(const PlasmaState& state,
+                              std::span<const real_type> screen,
                               ConstVecView<real_type> f,
                               VecView<real_type> out) const
 {
     BSIS_ENSURE_DIMS(f.len == grid_.rows() && out.len == grid_.rows(),
                      "distribution size mismatch");
-    accumulate(state, real_type{1});
+    std::vector<real_type> coeffs(pattern_.col_idxs.size());
+    accumulate(state, screen, coeffs.data());
     for (index_type r = 0; r < grid_.rows(); ++r) {
         real_type sum{};
         for (index_type p = pattern_.row_ptrs[r];
              p < pattern_.row_ptrs[r + 1]; ++p) {
-            sum += scratch_[static_cast<std::size_t>(p)] *
+            sum += coeffs[static_cast<std::size_t>(p)] *
                    f[pattern_.col_idxs[p]];
         }
         out[r] = sum;

@@ -24,6 +24,7 @@
 // iteration re-assembles A from the current iterate's moments.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "blas/batch_vector.hpp"
@@ -45,6 +46,11 @@ public:
     /// The shared 9-point CSR pattern (992 rows for the 32 x 31 grid).
     const StencilPattern& pattern() const { return pattern_; }
 
+    /// Number of speed shells in a screening table, and the normalized
+    /// speed |v - u| / v_th the shells span from 0.
+    static constexpr int screening_shells = 48;
+    static constexpr real_type screening_max_speed = 8.0;
+
     /// Computes the Rosenbluth-like background screening from the current
     /// Picard iterate: the diffusion rates at normalized speed w are scaled
     /// by the actual-to-Maxwellian mass ratio of the speed shell containing
@@ -52,65 +58,49 @@ public:
     /// Landau operator's Rosenbluth potentials do), not just its first
     /// three moments -- which is what makes consecutive Picard matrices
     /// differ and the warm-started iteration counts decay gradually
-    /// (Table III of the paper). Must be called before assemble()/apply();
-    /// without it the screening is 1 (pure Dougherty-type operator).
-    void set_background(const PlasmaState& state,
-                        ConstVecView<real_type> f);
-
-    /// Resets the background screening to 1.
-    void clear_background();
-
-    /// Raw shell-screening table computed by set_background (one factor
-    /// per speed shell; empty if unset).
-    const std::vector<real_type>& background_table() const
-    {
-        return screen_;
-    }
-
-    /// Blends another species' screening table into this one with the
-    /// given weight (field-particle coupling). Both tables must have been
-    /// computed with set_background first.
-    void blend_background(const std::vector<real_type>& other,
-                          real_type weight);
+    /// (Table III of the paper). Returns one factor per speed shell
+    /// (screening_shells of them); the caller owns the table and passes it
+    /// to assemble()/apply(). An empty table means screening 1 (the pure
+    /// Dougherty-type operator).
+    std::vector<real_type> screening_table(const PlasmaState& state,
+                                           ConstVecView<real_type> f) const;
 
     /// Assembles A = I - dt * C(u, T) into `values` (CSR value layout of
-    /// pattern()). `state` carries the moments of the current Picard
-    /// iterate.
-    void assemble(const PlasmaState& state, real_type dt,
-                  real_type* values) const;
+    /// pattern()), which also serve as the accumulation scratch. `state`
+    /// carries the moments of the current Picard iterate, `screen` the
+    /// shell screening (see screening_table). Touches no member state, so
+    /// one operator serves any number of threads.
+    void assemble(const PlasmaState& state, std::span<const real_type> screen,
+                  real_type dt, real_type* values) const;
 
     /// Applies the discrete collision operator C(u,T) to `f` directly
     /// (for operator verification tests): out = C f.
-    void apply(const PlasmaState& state, ConstVecView<real_type> f,
-               VecView<real_type> out) const;
+    void apply(const PlasmaState& state, std::span<const real_type> screen,
+               ConstVecView<real_type> f, VecView<real_type> out) const;
 
 private:
-    /// Adds `coeff * f[col]` to the operator row `row` of the assembly
-    /// scratch.
-    void add(index_type row, index_type col, real_type coeff) const;
+    /// Adds `coeff * f[col]` to the operator row `row` of `acc` (one
+    /// coefficient per stored nonzero of pattern()).
+    void add(real_type* acc, index_type row, index_type col,
+             real_type coeff) const;
 
-    /// Accumulates all flux contributions of C(u,T) scaled by `scale` into
-    /// the scratch (a dense-per-row stencil accumulator).
-    void accumulate(const PlasmaState& state, real_type scale) const;
+    /// Overwrites `acc` with the flux contributions of C(u,T) (a
+    /// dense-per-row stencil accumulator).
+    void accumulate(const PlasmaState& state,
+                    std::span<const real_type> screen, real_type* acc) const;
 
     /// Anisotropic diffusion tensor at velocity (vpar, vperp).
-    void tensor(const PlasmaState& state, real_type vpar, real_type vperp,
-                real_type& d11, real_type& d12, real_type& d22) const;
+    void tensor(const PlasmaState& state, std::span<const real_type> screen,
+                real_type vpar, real_type vperp, real_type& d11,
+                real_type& d12, real_type& d22) const;
 
     /// Interpolated shell-screening factor at normalized speed wbar.
-    real_type screening(real_type wbar) const;
+    real_type screening(std::span<const real_type> screen,
+                        real_type wbar) const;
 
     VelocityGrid grid_;
     SpeciesParams species_;
     StencilPattern pattern_;
-    /// Shell screening table over normalized speed [0, screen_max_];
-    /// empty = no screening.
-    std::vector<real_type> screen_;
-    real_type screen_max_ = 8.0;
-    /// Scratch: one coefficient per stored nonzero (assembly is
-    /// single-threaded per operator instance; the batch parallelizes over
-    /// operator instances).
-    mutable std::vector<real_type> scratch_;
 };
 
 }  // namespace bsis::xgc

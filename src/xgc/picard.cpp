@@ -5,6 +5,7 @@
 #include "blas/kernels.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
+#include "xgc/team.hpp"
 
 namespace bsis::xgc {
 
@@ -44,13 +45,16 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     const size_type nsys = workload.num_systems();
     obs::ScopedSpan step_span("picard_step", "xgc",
                               static_cast<std::int64_t>(nsys));
-    const index_type n = workload.grid().rows();
+    const VelocityGrid& grid = workload.grid();
+    const index_type n = grid.rows();
+    // Systems per task of the per-system loops below (each is a few
+    // O(rows) sweeps; the chunk amortizes the scheduler handshake).
+    constexpr int chunk = 16;
 
     // f^n (right-hand side of every linear solve in this step).
     BatchVector<real_type> f_n = workload.distributions();
     // Picard iterate; starts from f^n.
     BatchVector<real_type> x = f_n;
-    BatchVector<real_type> x_prev(nsys, n);
 
     auto a = workload.make_matrix_batch();
 
@@ -63,13 +67,15 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     f_n_norm = std::sqrt(f_n_norm);
 
     // Conserved targets of every system (the pre-step invariants).
-    std::vector<ConservedQuantities> targets;
-    targets.reserve(static_cast<std::size_t>(nsys));
-    for (size_type sys = 0; sys < nsys; ++sys) {
-        targets.push_back(conserved(workload.grid(), f_n.entry(sys)));
-    }
+    std::vector<ConservedQuantities> targets(static_cast<std::size_t>(nsys));
+    team_for(nsys, chunk, [&](size_type sys) {
+        targets[static_cast<std::size_t>(sys)] =
+            conserved(grid, f_n.entry(sys));
+    });
 
-    std::vector<real_type> residual(static_cast<std::size_t>(n));
+    // Per-system squared residuals, summed in system order so the total
+    // does not depend on the thread count.
+    std::vector<real_type> residual_sq(static_cast<std::size_t>(nsys));
     for (int k = 0; k < settings.num_iterations; ++k) {
         obs::ScopedSpan iter_span("picard_iteration", "xgc", k);
         obs::traced("assemble_batch", [&] {
@@ -82,15 +88,21 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
         // warm-started solves no-op.)
         real_type res = 0;
         obs::traced("nonlinear_residual", [&] {
-            for (size_type sys = 0; sys < nsys; ++sys) {
+            team_for(nsys, chunk, [&](size_type sys) {
+                std::vector<real_type> ax(static_cast<std::size_t>(n));
                 spmv(a.entry(sys), ConstVecView<real_type>(x.entry(sys)),
-                     VecView<real_type>{residual.data(), n});
+                     VecView<real_type>{ax.data(), n});
                 const auto bv = f_n.entry(sys);
+                real_type sum = 0;
                 for (index_type i = 0; i < n; ++i) {
                     const real_type d =
-                        bv[i] - residual[static_cast<std::size_t>(i)];
-                    res += d * d;
+                        bv[i] - ax[static_cast<std::size_t>(i)];
+                    sum += d * d;
                 }
+                residual_sq[static_cast<std::size_t>(sys)] = sum;
+            });
+            for (const auto r : residual_sq) {
+                res += r;
             }
         });
         report.nonlinear_change =
@@ -101,7 +113,6 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
             break;
         }
 
-        x_prev = x;
         if (!settings.warm_start) {
             x.fill(real_type{0});
         }
@@ -112,28 +123,21 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     if (settings.nonlinear_tol == 0) {
         report.converged = true;
     }
-    (void)x_prev;
 
     // Conservation of the raw Picard solution, then the post-step moment
     // fix (production XGC behavior), then the accepted-step conservation.
-    report.raw_conservation_errors.reserve(static_cast<std::size_t>(nsys));
-    for (size_type sys = 0; sys < nsys; ++sys) {
-        report.raw_conservation_errors.push_back(conservation_error(
-            targets[static_cast<std::size_t>(sys)],
-            conserved(workload.grid(), x.entry(sys))));
-    }
-    if (settings.conservation_fix) {
-        for (size_type sys = 0; sys < nsys; ++sys) {
-            moment_fix(workload.grid(), x.entry(sys),
-                       targets[static_cast<std::size_t>(sys)]);
+    report.raw_conservation_errors.resize(static_cast<std::size_t>(nsys));
+    report.conservation_errors.resize(static_cast<std::size_t>(nsys));
+    team_for(nsys, chunk, [&](size_type sys) {
+        const auto si = static_cast<std::size_t>(sys);
+        report.raw_conservation_errors[si] = conservation_error(
+            targets[si], conserved(grid, x.entry(sys)));
+        if (settings.conservation_fix) {
+            moment_fix(grid, x.entry(sys), targets[si]);
         }
-    }
-    report.conservation_errors.reserve(static_cast<std::size_t>(nsys));
-    for (size_type sys = 0; sys < nsys; ++sys) {
-        const auto after = conserved(workload.grid(), x.entry(sys));
-        report.conservation_errors.push_back(conservation_error(
-            targets[static_cast<std::size_t>(sys)], after));
-    }
+        report.conservation_errors[si] = conservation_error(
+            targets[si], conserved(grid, x.entry(sys)));
+    });
     workload.distributions() = x;
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();

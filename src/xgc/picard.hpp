@@ -72,6 +72,8 @@ struct PicardReport {
 };
 
 /// Advances the workload's distributions by one implicit collision step.
+/// Assembly and the per-system loops run over the OpenMP team; the result
+/// is the same at every thread count.
 PicardReport implicit_collision_step(CollisionWorkload& workload,
                                      const PicardSettings& settings,
                                      const BatchLinearSolver& solve);

@@ -1,9 +1,11 @@
 #include "xgc/workload.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "xgc/team.hpp"
 
 namespace bsis::xgc {
 
@@ -82,54 +84,65 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
                                        real_type dt,
                                        BatchCsr<real_type>& a) const
 {
-    BSIS_ENSURE_DIMS(a.num_batch() == num_systems(),
+    BSIS_ENSURE_ARG(dt > 0, "time step must be positive");
+    BSIS_ENSURE_DIMS(a.num_batch() == num_systems() &&
+                         a.rows() == grid_.rows() &&
+                         a.nnz_per_entry() ==
+                             operators_.front().pattern().row_ptrs.back(),
                      "matrix batch size mismatch");
     BSIS_ENSURE_DIMS(iterate.num_batch() == num_systems() &&
                          anchor.num_batch() == num_systems(),
                      "iterate batch size mismatch");
+    BSIS_ENSURE_DIMS(iterate.len() == grid_.rows() &&
+                         anchor.len() == grid_.rows(),
+                     "distribution size mismatch");
     const size_type ns = num_species();
-    std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
-    std::vector<std::vector<real_type>> tables(
-        static_cast<std::size_t>(ns));
-    for (size_type node = 0; node < num_mesh_nodes(); ++node) {
+    // Mesh nodes are independent: each one reads the shared operators and
+    // keeps its species' states and screening tables (ns x 48 values)
+    // locally, so a system's arithmetic is the same at any thread count.
+    // A node is ~1 ms of work; chunks of 4 keep the team balanced.
+    team_for(num_mesh_nodes(), 4, [&](size_type node) {
+        std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
+        std::vector<std::vector<real_type>> tables(
+            static_cast<std::size_t>(ns));
         // Maxwellian anchor from the conserved pre-step moments, shell
         // screening from each iterate's shape.
         for (size_type s = 0; s < ns; ++s) {
             const size_type sys = node * ns + s;
-            states[static_cast<std::size_t>(s)] =
-                system_moments(anchor, sys);
-            operators_[static_cast<std::size_t>(s)].set_background(
-                states[static_cast<std::size_t>(s)], iterate.entry(sys));
-            tables[static_cast<std::size_t>(s)] =
-                operators_[static_cast<std::size_t>(s)].background_table();
+            const auto si = static_cast<std::size_t>(s);
+            states[si] = system_moments(anchor, sys);
+            tables[si] =
+                operators_[si].screening_table(states[si], iterate.entry(sys));
         }
         // ...then the field-particle coupling to the other species of the
         // same mesh node, and the assembly.
+        std::vector<real_type> blended;
         for (size_type s = 0; s < ns; ++s) {
-            auto& op = operators_[static_cast<std::size_t>(s)];
-            const real_type w = species_[static_cast<std::size_t>(s)]
-                                    .cross_species_weight;
+            const auto si = static_cast<std::size_t>(s);
+            std::span<const real_type> screen = tables[si];
+            const real_type w = species_[si].cross_species_weight;
             if (ns >= 2 && w > 0) {
-                // Field-particle coupling to the mean of the other
-                // species' screenings.
-                std::vector<real_type> other(
-                    tables[static_cast<std::size_t>(s)].size(), 0.0);
+                // Blend in the mean of the other species' screenings.
+                blended.assign(tables[si].size(), 0.0);
                 for (size_type s2 = 0; s2 < ns; ++s2) {
                     if (s2 == s) {
                         continue;
                     }
-                    for (std::size_t k = 0; k < other.size(); ++k) {
-                        other[k] +=
+                    for (std::size_t k = 0; k < blended.size(); ++k) {
+                        blended[k] +=
                             tables[static_cast<std::size_t>(s2)][k] /
                             static_cast<real_type>(ns - 1);
                     }
                 }
-                op.blend_background(other, w);
+                for (std::size_t k = 0; k < blended.size(); ++k) {
+                    blended[k] = (1 - w) * tables[si][k] + w * blended[k];
+                }
+                screen = blended;
             }
-            op.assemble(states[static_cast<std::size_t>(s)], dt,
-                        a.values(node * ns + s));
+            operators_[si].assemble(states[si], screen, dt,
+                                    a.values(node * ns + s));
         }
-    }
+    });
 }
 
 }  // namespace bsis::xgc

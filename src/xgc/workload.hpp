@@ -72,7 +72,8 @@ public:
     BatchCsr<real_type> make_matrix_batch() const;
 
     /// Assembles A_sys = I - dt * C for every system into `a` (which must
-    /// come from make_matrix_batch()). The operator's Maxwellian anchor
+    /// come from make_matrix_batch()), one mesh node per task over the
+    /// OpenMP team. The operator's Maxwellian anchor
     /// (n, u, T) is taken from `anchor` -- the pre-step distribution f^n,
     /// whose invariants the exact collision operator preserves -- while
     /// the Rosenbluth-like shell screening tracks the SHAPE of the current
@@ -93,9 +94,8 @@ private:
     WorkloadParams params_;
     VelocityGrid grid_;
     std::vector<SpeciesParams> species_;
-    /// One operator per species; mutable because assembly installs the
-    /// per-system background screening into the operator (scratch state).
-    mutable std::vector<CollisionOperator> operators_;
+    /// One immutable operator per species, shared by every thread.
+    std::vector<CollisionOperator> operators_;
     BatchVector<real_type> f_;
 };
 

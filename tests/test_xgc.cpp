@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "lapack/eigen.hpp"
 #include "matrix/stats.hpp"
@@ -14,6 +19,23 @@
 
 namespace bsis::xgc {
 namespace {
+
+/// Restores the OpenMP thread count on scope exit.
+struct RestoreThreads {
+#ifdef _OPENMP
+    int saved = omp_get_max_threads();
+    ~RestoreThreads() { omp_set_num_threads(saved); }
+#endif
+};
+
+void set_threads([[maybe_unused]] int t)
+{
+#ifdef _OPENMP
+    omp_set_num_threads(t);
+#endif
+}
+
+constexpr int thread_counts[] = {1, 2, 4};
 
 TEST(Grid, PaperGridHas992Rows)
 {
@@ -129,7 +151,7 @@ TEST_F(OperatorFixture, MaxwellianIsExactDiscreteEquilibrium)
     std::vector<real_type> f(static_cast<std::size_t>(grid_.rows()));
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
     maxwellian(grid_, state, VecView<real_type>{f.data(), grid_.rows()});
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type worst = 0;
     for (const auto v : cf) {
@@ -151,7 +173,7 @@ TEST_F(OperatorFixture, DensityConservedForArbitraryF)
         }
     }
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type density_rate = 0;
     real_type magnitude = 0;
@@ -180,7 +202,7 @@ TEST_F(OperatorFixture, RelaxesPerturbationTowardEquilibrium)
         }
     }
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type before = 0;
     real_type after = 0;
@@ -198,7 +220,7 @@ TEST_F(OperatorFixture, AssembledMatrixIsNonsymmetricAndNearIdentity)
     PlasmaState state;
     BatchCsr<real_type> batch(1, grid_.rows(), op_.pattern().row_ptrs,
                               op_.pattern().col_idxs);
-    op_.assemble(state, 0.0035, batch.values(0));
+    op_.assemble(state, {}, 0.0035, batch.values(0));
     const auto stats = compute_stats(batch);
     EXPECT_FALSE(stats.numerically_symmetric);
     EXPECT_TRUE(stats.pattern_symmetric);
@@ -217,8 +239,8 @@ TEST_F(OperatorFixture, ScreeningTablesReflectShape)
     PlasmaState state;
     std::vector<real_type> f(static_cast<std::size_t>(grid_.rows()));
     maxwellian(grid_, state, VecView<real_type>{f.data(), grid_.rows()});
-    op_.set_background(state, ConstVecView<real_type>{f.data(), grid_.rows()});
-    for (const auto k : op_.background_table()) {
+    for (const auto k : op_.screening_table(
+             state, ConstVecView<real_type>{f.data(), grid_.rows()})) {
         EXPECT_NEAR(k, 1.0, 0.05);  // Maxwellian: ratio ~ 1 in every shell
     }
     // A beam-loaded distribution deviates in the high-speed shells.
@@ -230,9 +252,9 @@ TEST_F(OperatorFixture, ScreeningTablesReflectShape)
     for (std::size_t i = 0; i < f.size(); ++i) {
         f[i] += g[i];
     }
-    op_.set_background(state, ConstVecView<real_type>{f.data(), grid_.rows()});
     real_type max_dev = 0;
-    for (const auto k : op_.background_table()) {
+    for (const auto k : op_.screening_table(
+             state, ConstVecView<real_type>{f.data(), grid_.rows()})) {
         max_dev = std::max(max_dev, std::abs(k - 1.0));
     }
     EXPECT_GT(max_dev, 0.2);
@@ -334,6 +356,133 @@ TEST(Workload, AssemblyFillsEverySystem)
         diff += std::abs(a.values(0)[k] - a.values(1)[k]);
     }
     EXPECT_GT(diff, 1.0);
+}
+
+TEST(Workload, AssemblyIsBitIdenticalAtEveryThreadCount)
+{
+    // Mesh nodes assemble in parallel; every system must come out
+    // bit-identical at any thread count, and equal to a standalone
+    // operator fed the same state and blended screening.
+    WorkloadParams params;
+    params.num_mesh_nodes = 9;
+    params.num_ion_species = 2;
+    CollisionWorkload w(params);
+    const auto& anchor = w.distributions();
+    // A Picard-like iterate whose shape differs from the anchor's.
+    BatchVector<real_type> iterate = anchor;
+    for (size_type i = 0; i < iterate.size(); ++i) {
+        iterate.data()[i] *= 1.0 + 0.05 * std::sin(0.37 * i);
+    }
+    const real_type dt = 0.0035;
+    const auto system_bytes =
+        static_cast<std::size_t>(w.make_matrix_batch().nnz_per_entry()) *
+        sizeof(real_type);
+    const auto bytes =
+        static_cast<std::size_t>(w.num_systems()) * system_bytes;
+
+    [[maybe_unused]] RestoreThreads restore;
+    set_threads(1);
+    auto serial = w.make_matrix_batch();
+    w.assemble_batch(iterate, anchor, dt, serial);
+    for (const int t : thread_counts) {
+        set_threads(t);
+        auto a = w.make_matrix_batch();
+        w.assemble_batch(iterate, anchor, dt, a);
+        EXPECT_EQ(std::memcmp(a.values(0), serial.values(0), bytes), 0)
+            << t << " threads";
+    }
+
+    const size_type ns = w.num_species();
+    auto single = w.make_matrix_batch();
+    for (size_type node = 0; node < w.num_mesh_nodes(); ++node) {
+        std::vector<PlasmaState> states;
+        std::vector<std::vector<real_type>> tables;
+        std::vector<CollisionOperator> ops;
+        for (size_type s = 0; s < ns; ++s) {
+            const size_type sys = node * ns + s;
+            ops.emplace_back(w.grid(), w.system_species(sys));
+            states.push_back(moments(w.grid(), anchor.entry(sys)));
+            tables.push_back(
+                ops.back().screening_table(states.back(), iterate.entry(sys)));
+        }
+        for (size_type s = 0; s < ns; ++s) {
+            const auto si = static_cast<std::size_t>(s);
+            const real_type wt = ops[si].species().cross_species_weight;
+            std::vector<real_type> screen(tables[si].size(), 0.0);
+            for (size_type s2 = 0; s2 < ns; ++s2) {
+                if (s2 == s) {
+                    continue;
+                }
+                for (std::size_t k = 0; k < screen.size(); ++k) {
+                    screen[k] += tables[static_cast<std::size_t>(s2)][k] /
+                                 static_cast<real_type>(ns - 1);
+                }
+            }
+            for (std::size_t k = 0; k < screen.size(); ++k) {
+                screen[k] = (1 - wt) * tables[si][k] + wt * screen[k];
+            }
+            const size_type sys = node * ns + s;
+            ops[si].assemble(states[si], screen, dt, single.values(sys));
+            EXPECT_EQ(std::memcmp(single.values(sys), serial.values(sys),
+                                  system_bytes),
+                      0)
+                << "system " << sys;
+        }
+    }
+}
+
+TEST(Picard, StepIsIdenticalAtEveryThreadCount)
+{
+    // One full implicit step (assembly, residual, solves, moment fix) at
+    // 1, 2 and 4 threads: distributions, per-system iteration counts,
+    // conservation errors and the nonlinear residual must all match.
+    struct Outcome {
+        BatchVector<real_type> f;
+        std::vector<std::vector<int>> iterations;
+        PicardReport report;
+    };
+    const auto step = [](int threads) {
+        set_threads(threads);
+        WorkloadParams wp;
+        wp.num_mesh_nodes = 6;
+        CollisionWorkload workload(wp);
+        SolverSettings s;
+        s.tolerance = 1e-10;
+        s.max_iterations = 500;
+        Outcome out;
+        out.report = implicit_collision_step(workload, PicardSettings{},
+                                             make_reference_solver(s));
+        out.f = workload.distributions();
+        for (const auto& log : out.report.linear_logs) {
+            std::vector<int> its;
+            for (size_type sys = 0; sys < log.num_batch(); ++sys) {
+                its.push_back(log.iterations(sys));
+            }
+            out.iterations.push_back(its);
+        }
+        return out;
+    };
+    [[maybe_unused]] RestoreThreads restore;
+    const auto serial = step(1);
+    ASSERT_EQ(serial.report.picard_iterations, 5);
+    for (const int t : thread_counts) {
+        const auto par = step(t);
+        EXPECT_EQ(std::memcmp(par.f.data(), serial.f.data(),
+                              static_cast<std::size_t>(serial.f.size()) *
+                                  sizeof(real_type)),
+                  0)
+            << t << " threads";
+        EXPECT_EQ(par.iterations, serial.iterations) << t << " threads";
+        EXPECT_EQ(par.report.conservation_errors,
+                  serial.report.conservation_errors)
+            << t << " threads";
+        EXPECT_EQ(par.report.raw_conservation_errors,
+                  serial.report.raw_conservation_errors)
+            << t << " threads";
+        EXPECT_EQ(par.report.nonlinear_change,
+                  serial.report.nonlinear_change)
+            << t << " threads";
+    }
 }
 
 class PicardFixture : public ::testing::Test {
